@@ -24,6 +24,7 @@ namespace {
 
 using namespace aequus;
 using core::FairshareAlgorithm;
+using core::FairshareEngine;
 using core::FairshareTree;
 using core::PolicyTree;
 using core::ProjectionConfig;

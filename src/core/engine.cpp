@@ -85,14 +85,9 @@ bool FairshareEngine::sync_policy(NodeId node, const PolicyTree::Node& policy_no
 }
 
 LeafId FairshareEngine::leaf_for(const std::string& user_path) {
-  // join_path(split_path(p)) is the identity exactly when p already looks
-  // canonical — leading '/', no empty segments, no trailing '/'. The fast
-  // path skips the two temporary allocations for the common case of
-  // already-canonical wire paths.
-  const bool canonical = !user_path.empty() && user_path.front() == '/' &&
-                         user_path.back() != '/' &&
-                         user_path.find("//") == std::string::npos;
-  if (canonical) return leaves_.intern(user_path);
+  // The fast path skips the two temporary allocations of split/join for
+  // the common case of already-canonical wire paths.
+  if (is_canonical_path(user_path)) return leaves_.intern(user_path);
   return leaves_.intern(join_path(split_path(user_path)));
 }
 

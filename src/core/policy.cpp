@@ -16,6 +16,12 @@ std::string join_path(const std::vector<std::string>& segments) {
   return "/" + util::join(segments, "/");
 }
 
+bool is_canonical_path(std::string_view path) noexcept {
+  if (path == "/") return true;
+  return !path.empty() && path.front() == '/' && path.back() != '/' &&
+         path.find("//") == std::string_view::npos;
+}
+
 const PolicyTree::Node* PolicyTree::Node::find_child(const std::string& child_name) const {
   for (const auto& child : children) {
     if (child.name == child_name) return &child;

@@ -13,6 +13,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "json/json.hpp"
@@ -77,5 +78,10 @@ class PolicyTree {
 
 /// Join segments into "/a/b/c".
 [[nodiscard]] std::string join_path(const std::vector<std::string>& segments);
+
+/// True exactly when join_path(split_path(path)) == path: a leading '/',
+/// no empty segment and no trailing '/' (or the root "/" itself). Lets hot
+/// paths skip re-canonicalizing paths that already are canonical.
+[[nodiscard]] bool is_canonical_path(std::string_view path) noexcept;
 
 }  // namespace aequus::core

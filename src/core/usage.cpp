@@ -29,7 +29,11 @@ void UsageTree::add(const std::string& path, double amount) {
     throw std::invalid_argument("UsageTree::add: amount must be finite and >= 0");
   }
   if (amount == 0.0) return;
-  leaves_[canonical(path)] += amount;
+  if (is_canonical_path(path)) {
+    leaves_[path] += amount;
+  } else {
+    leaves_[canonical(path)] += amount;
+  }
 }
 
 void UsageTree::merge(const UsageTree& other) {

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <system_error>
@@ -101,47 +100,77 @@ std::size_t Value::size() const {
 }
 
 namespace {
+/// Escape sequence for `c` inside a JSON string, or an empty view when `c`
+/// is written as itself. write_escaped() and escaped_size() both go
+/// through here, so dump() and wire_size() agree byte for byte.
+std::string_view escape_of(char c, char (&buffer)[6]) noexcept {
+  const auto code = static_cast<unsigned char>(c);
+  if (code >= 0x20 && c != '"' && c != '\\') return {};
+  switch (c) {
+    case '"': return "\\\"";
+    case '\\': return "\\\\";
+    case '\n': return "\\n";
+    case '\r': return "\\r";
+    case '\t': return "\\t";
+    case '\b': return "\\b";
+    case '\f': return "\\f";
+    default: break;
+  }
+  static constexpr char kHex[] = "0123456789abcdef";
+  buffer[0] = '\\';
+  buffer[1] = 'u';
+  buffer[2] = '0';
+  buffer[3] = '0';
+  buffer[4] = kHex[code >> 4];
+  buffer[5] = kHex[code & 0xf];
+  return {buffer, sizeof buffer};
+}
+
 void write_escaped(std::string& out, const std::string& s) {
   out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+  char buffer[6];
+  for (const char c : s) {
+    const std::string_view escape = escape_of(c, buffer);
+    if (escape.empty()) {
+      out += c;
+    } else {
+      out += escape;
     }
   }
   out += '"';
 }
 
-void write_number(std::string& out, double d) {
+std::size_t escaped_size(const std::string& s) noexcept {
+  std::size_t size = 2;  // the quotes
+  char buffer[6];
+  for (const char c : s) {
+    const std::string_view escape = escape_of(c, buffer);
+    size += escape.empty() ? 1 : escape.size();
+  }
+  return size;
+}
+
+/// Renders `d` into `buffer` exactly as it goes on the wire and returns
+/// the end of the text. Integral values below 1e15 print as integers; the
+/// rest as 17 significant digits, which round-trip any double exactly.
+/// std::to_chars, not printf: printf renders the decimal separator per
+/// LC_NUMERIC, and a comma-decimal locale (de_DE) would corrupt every
+/// serialized number.
+char* render_number(char (&buffer)[32], double d) {
   // JSON has no NaN/inf literals; emitting "nan" would produce a document
   // the parser itself rejects. Fail at the source instead.
   if (!std::isfinite(d)) throw std::domain_error("json: cannot serialize non-finite number");
-  if (d == std::llround(d) && std::fabs(d) < 1e15) {
-    out += util::format("%lld", static_cast<long long>(std::llround(d)));
-  } else {
-    // std::to_chars, not printf "%g": the latter renders the decimal
-    // separator per LC_NUMERIC, and a comma-decimal locale (de_DE) would
-    // corrupt every serialized number. 17 significant digits round-trip
-    // any double exactly.
-    char buffer[32];
-    const auto [end, ec] =
-        std::to_chars(buffer, buffer + sizeof(buffer), d, std::chars_format::general, 17);
-    if (ec != std::errc()) throw std::runtime_error("json: number formatting failed");
-    out.append(buffer, end);
-  }
+  const auto [end, ec] =
+      std::fabs(d) < 1e15 && d == static_cast<double>(std::llround(d))
+          ? std::to_chars(buffer, buffer + sizeof buffer, std::llround(d))
+          : std::to_chars(buffer, buffer + sizeof buffer, d, std::chars_format::general, 17);
+  if (ec != std::errc()) throw std::runtime_error("json: number formatting failed");
+  return end;
+}
+
+void write_number(std::string& out, double d) {
+  char buffer[32];
+  out.append(buffer, render_number(buffer, d));
 }
 }  // namespace
 
@@ -199,6 +228,25 @@ std::string Value::dump() const {
   return out;
 }
 
+std::size_t Value::wire_size() const {
+  if (is_null()) return 4;
+  if (is_bool()) return std::get<bool>(data_) ? 4 : 5;
+  if (is_number()) {
+    char buffer[32];
+    return static_cast<std::size_t>(render_number(buffer, std::get<double>(data_)) - buffer);
+  }
+  if (is_string()) return escaped_size(std::get<std::string>(data_));
+  std::size_t size = 2;  // the brackets or braces
+  if (is_array()) {
+    const auto& arr = std::get<Array>(data_);
+    for (const auto& item : arr) size += item.wire_size();
+    return size + (arr.empty() ? 0 : arr.size() - 1);  // commas
+  }
+  const auto& obj = std::get<Object>(data_);
+  for (const auto& [key, item] : obj) size += escaped_size(key) + 1 + item.wire_size();
+  return size + (obj.empty() ? 0 : obj.size() - 1);
+}
+
 std::string Value::pretty() const {
   std::string out;
   write(out, 2, 0);
@@ -206,6 +254,11 @@ std::string Value::pretty() const {
 }
 
 namespace {
+/// Deepest array/object nesting parse() accepts. The parser recurses once
+/// per level, so without a bound a hostile document ("[[[[...") would
+/// overflow the stack; no document this system writes comes near it.
+constexpr int kMaxDepth = 512;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -251,6 +304,20 @@ class Parser {
     return true;
   }
 
+  /// Counts one nesting level for the lifetime of a container parse.
+  class Nest {
+   public:
+    explicit Nest(Parser& parser) : parser_(parser) {
+      if (++parser_.depth_ > kMaxDepth) fail("nesting too deep", parser_.pos_);
+    }
+    ~Nest() { --parser_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
   Value parse_value() {
     skip_whitespace();
     const char c = peek();
@@ -272,6 +339,7 @@ class Parser {
   }
 
   Value parse_object() {
+    const Nest nest(*this);
     expect('{');
     Object obj;
     skip_whitespace();
@@ -293,6 +361,7 @@ class Parser {
   }
 
   Value parse_array() {
+    const Nest nest(*this);
     expect('[');
     Array arr;
     skip_whitespace();
@@ -386,6 +455,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 }  // namespace
 

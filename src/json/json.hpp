@@ -78,6 +78,11 @@ class Value {
   /// Serialize compactly (no whitespace). Stable key order (std::map).
   [[nodiscard]] std::string dump() const;
 
+  /// Exact length of dump() in bytes, computed without building the
+  /// string (no allocation). Throws std::domain_error on a non-finite
+  /// number, as dump() does.
+  [[nodiscard]] std::size_t wire_size() const;
+
   /// Serialize with 2-space indentation.
   [[nodiscard]] std::string pretty() const;
 
@@ -89,7 +94,8 @@ class Value {
 };
 
 /// Parse a complete JSON document. Throws std::runtime_error with a byte
-/// offset on malformed input; trailing garbage is an error.
+/// offset on malformed input; trailing garbage is an error, and so is
+/// nesting arrays/objects more than 512 levels deep.
 [[nodiscard]] Value parse(std::string_view text);
 
 /// Parse, returning nullopt instead of throwing.

@@ -254,13 +254,17 @@ ServiceBus::Delivery ServiceBus::deliver(const std::string& from_site,
   };
   outcome.delivered = true;
   outcome.latency = leg_latency(from_site, to_site);
-  simulator_.schedule_after(outcome.latency, arrive);
-  if (twice) {
-    metrics_.duplicated->inc();
-    outcome.duplicated = true;
-    outcome.dup_latency = leg_latency(from_site, to_site);
-    simulator_.schedule_after(outcome.dup_latency, std::move(arrive));
+  if (!twice) {
+    simulator_.schedule_after(outcome.latency, std::move(arrive));
+    return outcome;
   }
+  // The only copy on the message path: a duplicated leg arrives twice, and
+  // each arrival owns its own payload and continuations.
+  simulator_.schedule_after(outcome.latency, arrive);
+  metrics_.duplicated->inc();
+  outcome.duplicated = true;
+  outcome.dup_latency = leg_latency(from_site, to_site);
+  simulator_.schedule_after(outcome.dup_latency, std::move(arrive));
   return outcome;
 }
 
@@ -300,7 +304,7 @@ void ServiceBus::bounce_unbound(const std::string& address, const std::string& f
 void ServiceBus::request(const std::string& from_site, const std::string& address,
                          json::Value payload, ReplyCallback on_reply, ErrorCallback on_error) {
   metrics_.requests->inc();
-  metrics_.payload_bytes->inc(payload.dump().size());
+  metrics_.payload_bytes->inc(payload.wire_size());
   EndpointMetrics& rpc = endpoint_metrics(address);
   rpc.requests->inc();
   const std::string to_site = site_of(address);
@@ -365,7 +369,7 @@ void ServiceBus::request(const std::string& from_site, const std::string& addres
                     "participation:" + address);
               return;
             }
-            metrics_.payload_bytes->inc(reply.dump().size());
+            metrics_.payload_bytes->inc(reply.wire_size());
             const obs::SpanContext reply_leg =
                 tracing() ? tracer_->begin_child(simulator_.now(), rpc_span, to_site,
                                                  "bus", "reply:" + address)
@@ -393,8 +397,9 @@ void ServiceBus::send(const std::string& from_site, const std::string& address,
 void ServiceBus::send_impl(const std::string& from_site, const std::string& address,
                            json::Value payload, std::size_t record_count, bool batch) {
   metrics_.one_way->inc();
-  const std::string wire = payload.dump();
-  metrics_.payload_bytes->inc(wire.size());
+  metrics_.payload_bytes->inc(payload.wire_size());
+  // Only a tap needs the bytes themselves.
+  const std::string wire = tap_ != nullptr ? payload.dump() : std::string();
   const std::string to_site = site_of(address);
   const obs::SpanContext send_span =
       tracing() ? tracer_->begin_span(simulator_.now(), from_site, "bus",

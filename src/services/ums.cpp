@@ -60,8 +60,7 @@ void Ums::update_now() {
   bus_.request(site_, site_ + ".pds", json::Value(std::move(policy_request)),
                [this, cycle](const json::Value& reply) {
                  try {
-                   site_policy_ = core::PolicyTree::from_json(reply);
-                   have_policy_ = true;
+                   set_policy(core::PolicyTree::from_json(reply));
                    rebuild();
                  } catch (const std::exception& e) {
                    AEQ_WARN("ums") << site_ << ": bad policy reply: " << e.what();
@@ -96,25 +95,26 @@ void Ums::ingest(const std::string& source, const json::Value& histograms) {
   }
 }
 
+void Ums::set_policy(const core::PolicyTree& policy) {
+  path_of_.clear();
+  for (const auto& path : policy.leaf_paths()) {
+    const auto segments = core::split_path(path);
+    if (!segments.empty()) path_of_[segments.back()] = path;
+  }
+}
+
 void Ums::rebuild() {
   const double now = simulator_.now();
   // Map grid users to policy leaf paths; users missing from the policy are
   // accounted directly under the root.
-  std::map<std::string, std::string> path_of;
-  if (have_policy_) {
-    for (const auto& path : site_policy_.leaf_paths()) {
-      const auto segments = core::split_path(path);
-      if (!segments.empty()) path_of[segments.back()] = path;
-    }
-  }
   core::UsageTree tree;
   for (const auto& [source, per_user] : sources_) {
     (void)source;
     for (const auto& [user, bins] : per_user) {
       const double amount = decay_.decayed_total(bins, now);
       if (amount <= 0.0) continue;
-      const auto it = path_of.find(user);
-      tree.add(it != path_of.end() ? it->second : "/" + user, amount);
+      const auto it = path_of_.find(user);
+      tree.add(it != path_of_.end() ? it->second : "/" + user, amount);
     }
   }
   tree_ = std::move(tree);

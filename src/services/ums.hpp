@@ -64,6 +64,8 @@ class Ums {
  private:
   json::Value handle(const json::Value& request);
   void ingest(const std::string& source, const json::Value& histograms);
+  /// Rebuild path_of_ from a freshly fetched site policy.
+  void set_policy(const core::PolicyTree& policy);
   void rebuild();
   /// Count one reply of poll cycle `cycle`; closes the cycle's span when
   /// the last expected reply (or its duplicate-filtered first copy) lands.
@@ -80,8 +82,9 @@ class Ums {
   std::vector<std::string> peers_;
   /// source USS address -> user -> (bin time, amount) pairs
   std::map<std::string, std::map<std::string, std::vector<std::pair<double, double>>>> sources_;
-  core::PolicyTree site_policy_;
-  bool have_policy_ = false;
+  /// Grid user (leaf name) -> policy leaf path, rebuilt once per policy
+  /// reply; empty until the first policy arrives.
+  std::map<std::string, std::string> path_of_;
   core::UsageTree tree_;
   std::uint64_t polls_ = 0;
   sim::EventHandle poll_task_;

@@ -12,8 +12,13 @@ EventHandle Simulator::push(Time at, std::function<void()> action) {
   event.action = std::move(action);
   event.alive = std::make_shared<bool>(true);
   EventHandle handle(event.alive);
-  queue_.push(std::move(event));
+  enqueue(std::move(event));
   return handle;
+}
+
+void Simulator::enqueue(Event event) {
+  queue_.push_back(std::move(event));
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
 }
 
 EventHandle Simulator::schedule_at(Time at, std::function<void()> action) {
@@ -45,13 +50,14 @@ void Simulator::push_periodic(Time at, Time period,
     (*action)();
     if (*alive) push_periodic(scheduled_at + period, period, action, alive);
   };
-  queue_.push(std::move(event));
+  enqueue(std::move(event));
 }
 
 bool Simulator::step() {
   while (!queue_.empty()) {
-    Event event = queue_.top();
-    queue_.pop();
+    std::pop_heap(queue_.begin(), queue_.end(), Later{});
+    Event event = std::move(queue_.back());
+    queue_.pop_back();
     if (!*event.alive) continue;  // cancelled
     now_ = event.at;
     ++executed_;
@@ -63,9 +69,10 @@ bool Simulator::step() {
 
 void Simulator::run_until(Time limit) {
   while (!queue_.empty()) {
-    const Event& next = queue_.top();
+    const Event& next = queue_.front();
     if (!*next.alive) {
-      queue_.pop();
+      std::pop_heap(queue_.begin(), queue_.end(), Later{});
+      queue_.pop_back();
       continue;
     }
     if (next.at > limit) break;

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -91,13 +90,19 @@ class Simulator {
   };
 
   EventHandle push(Time at, std::function<void()> action);
+  /// Heap-insert `event` (min-heap on (at, sequence) via Later).
+  void enqueue(Event event);
   void push_periodic(Time at, Time period, std::shared_ptr<std::function<void()>> action,
                      std::shared_ptr<bool> alive);
 
   Time now_ = 0.0;
   std::uint64_t next_sequence_ = 0;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  /// Binary min-heap maintained with std::push_heap/std::pop_heap, so
+  /// step() can move the earliest event out instead of copying its
+  /// closure (and every payload the closure captured). (at, sequence) is
+  /// a total order, so the firing order is fully determined.
+  std::vector<Event> queue_;
 };
 
 }  // namespace aequus::sim

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "ingest/apply.hpp"
 #include "ingest/delta.hpp"
 #include "net/service_bus.hpp"
+#include "replay/recorder.hpp"
 
 namespace aequus::net {
 namespace {
@@ -529,6 +531,85 @@ TEST_F(ServiceBusTest, RebindReplacesHandlerForNewTraffic) {
               [&](const json::Value& reply) { echoed = reply.get_string("echo"); });
   simulator.run_all();
   EXPECT_EQ(echoed, "replaced");
+}
+
+/// A payload big and nested enough that a shallow or moved-from copy
+/// would show.
+json::Value bulky_payload(const std::string& tag) {
+  json::Array bins;
+  for (int i = 0; i < 50; ++i) {
+    bins.push_back(json::Value(json::Array{json::Value(i * 60.0), json::Value(i * 0.25)}));
+  }
+  return json::Value(json::Object{{"msg", json::Value(tag)},
+                                  {"users", json::Value(json::Object{
+                                                {"U1", json::Value(bins)},
+                                                {"U2 \"quoted\"", json::Value(bins)}})}});
+}
+
+TEST_F(ServiceBusTest, DuplicatedLegsDeliverTheFullPayloadToEveryArrival) {
+  FaultPlan plan;
+  plan.duplicate_rate = 1.0;  // every delivered inter-site leg arrives twice
+  plan.seed = 5;
+  bus.set_fault_plan(plan);
+  const json::Value query = bulky_payload("query");
+  const json::Value data = bulky_payload("data");
+  int handled = 0;
+  bus.bind("b.svc", [&](const json::Value& request) {
+    ++handled;
+    EXPECT_EQ(request, query);
+    return request;  // echo: the reply is as bulky as the query
+  });
+  int received = 0;
+  bus.bind("b.sink", [&](const json::Value& payload) {
+    ++received;
+    EXPECT_EQ(payload, data);
+    return json::Value();
+  });
+  int replies = 0;
+  bus.request("a", "b.svc", query, [&](const json::Value& reply) {
+    ++replies;
+    EXPECT_EQ(reply, query);
+  });
+  bus.send("a", "b.sink", data);
+  simulator.run_all();
+  EXPECT_EQ(handled, 2);  // the query leg arrived twice
+  EXPECT_EQ(replies, 4);  // and each handler run's reply leg twice
+  EXPECT_EQ(received, 2);
+  EXPECT_EQ(bus.stats().duplicated, 4u);  // query, two replies, one send
+}
+
+TEST_F(ServiceBusTest, PayloadBytesAreTheSameWithAndWithoutATap) {
+  // The bus renders dump() only for an attached tap; payload_bytes counts
+  // wire_size() either way, so attaching a recorder must not change it.
+  const auto drive = [](bool tapped) {
+    sim::Simulator sim;
+    ServiceBus local_bus(sim);
+    replay::FlightRecorder recorder;
+    if (tapped) recorder.attach(local_bus);
+    local_bus.bind("b.svc", [](const json::Value& request) { return request; });
+    local_bus.bind("b.sink", [](const json::Value&) { return json::Value(); });
+    std::uint64_t one_way_bytes = 0;
+    for (int i = 0; i < 5; ++i) {
+      const json::Value payload = bulky_payload("n" + std::to_string(i));
+      local_bus.request("a", "b.svc", payload, nullptr);
+      local_bus.send("a", "b.sink", payload);
+      local_bus.send_batch("a", "b.sink", payload, 3);
+      one_way_bytes += 2 * payload.dump().size();
+    }
+    sim.run_all();
+    if (tapped) {
+      std::uint64_t recorded = 0;
+      for (const auto& envelope : recorder.envelopes()) recorded += envelope.payload.size();
+      EXPECT_EQ(recorder.size(), 10u);
+      EXPECT_EQ(recorded, one_way_bytes);  // the tap saw the exact dump() text
+    }
+    return local_bus.stats().payload_bytes;
+  };
+  const std::uint64_t plain = drive(false);
+  EXPECT_GT(plain, 0u);
+  EXPECT_EQ(drive(true), plain);
+  // Five requests, five echoed replies, ten one-way envelopes.
+  EXPECT_EQ(plain, 20u * bulky_payload("n0").dump().size());
 }
 
 }  // namespace

@@ -47,7 +47,9 @@ TEST(ScenarioChurn, JoinLeaveMidDecayWindowKeepsConservationAndTree) {
       saw_u65 = true;
       EXPECT_GE(record.submit, 0.35 * duration);
     }
-    if (record.user == "U30") EXPECT_LT(record.submit, 0.6 * duration);
+    if (record.user == "U30") {
+      EXPECT_LT(record.submit, 0.6 * duration);
+    }
   }
   EXPECT_TRUE(saw_u65);
 

@@ -333,7 +333,9 @@ TEST(ApplyChurn, DropsSubmissionsOutsideMembershipWindow) {
   const std::vector<ChurnSpec> churn = {{"U65", 0.5, 1.0}};
   const workload::Trace churned = apply_churn(trace, churn, 1000.0);
   for (const auto& record : churned.records()) {
-    if (record.user == "U65") EXPECT_GE(record.submit, 500.0);
+    if (record.user == "U65") {
+      EXPECT_GE(record.submit, 500.0);
+    }
   }
   // U30 is untouched.
   EXPECT_EQ(churned.user_stats().at("U30").jobs, trace.user_stats().at("U30").jobs);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -207,6 +209,62 @@ TEST(Simulator, EventsScheduledDuringExecutionRun) {
   s.run_all();
   EXPECT_EQ(depth, 5);
   EXPECT_DOUBLE_EQ(s.now(), 4.0);
+}
+
+TEST(Simulator, HeapKeepsFifoTiesUnderInterleavedTimes) {
+  // Many events over a few timestamps, inserted out of time order, so the
+  // heap reshuffles them: within each timestamp they must still fire in
+  // insertion order.
+  Simulator s;
+  std::vector<std::pair<double, int>> fired;
+  for (int i = 0; i < 200; ++i) {
+    const double at = static_cast<double>((i * 7) % 5);
+    s.schedule_at(at, [&fired, &s, i] { fired.emplace_back(s.now(), i); });
+  }
+  s.run_all();
+  ASSERT_EQ(fired.size(), 200u);
+  for (std::size_t k = 1; k < fired.size(); ++k) {
+    ASSERT_LE(fired[k - 1].first, fired[k].first);
+    if (fired[k - 1].first == fired[k].first) {
+      EXPECT_LT(fired[k - 1].second, fired[k].second);
+    }
+  }
+}
+
+TEST(Simulator, MovedOutEventOwnsItsCapturedState) {
+  // step() moves the event out of the heap before running it, so an
+  // action that schedules more work (growing the heap) still runs with
+  // its own captured state intact.
+  Simulator s;
+  std::vector<std::string> seen;
+  const std::string payload(1000, 'x');
+  s.schedule_at(1.0, [&, payload] {
+    for (int i = 0; i < 64; ++i) s.schedule_at(1.0, [] {});
+    seen.push_back(payload);
+  });
+  s.run_all();
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen.front(), payload);
+  EXPECT_EQ(s.executed(), 65u);
+}
+
+TEST(Simulator, CancellationAndPeriodicRearmAmongTies) {
+  // A cancelled event between same-time neighbours is skipped without
+  // disturbing their order, and a periodic task keeps re-arming with
+  // later sequences than the one-shot events already queued.
+  Simulator s;
+  std::vector<int> order;
+  s.schedule_at(2.0, [&] { order.push_back(0); });
+  EventHandle cancelled = s.schedule_at(2.0, [&] { order.push_back(-1); });
+  s.schedule_at(2.0, [&] { order.push_back(1); });
+  EventHandle periodic = s.schedule_periodic(1.0, 1.0, [&] { order.push_back(7); });
+  s.schedule_at(3.0, [&] { order.push_back(2); });
+  cancelled.cancel();
+  s.schedule_at(3.5, [&] { periodic.cancel(); });
+  s.run_all();
+  EXPECT_EQ(order, (std::vector<int>{7, 0, 1, 7, 2, 7}));
+  EXPECT_FALSE(periodic.active());
+  EXPECT_EQ(s.pending(), 0u);
 }
 
 }  // namespace
