@@ -1,12 +1,16 @@
 #include "common.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "json/json.hpp"
 #include "obs/span_analysis.hpp"
@@ -16,12 +20,44 @@
 
 namespace aequus::bench {
 
-std::size_t jobs_from_argv(int argc, char** argv, std::size_t fallback) {
-  if (argc > 1) {
-    const long parsed = std::strtol(argv[1], nullptr, 10);
-    if (parsed > 0) return static_cast<std::size_t>(parsed);
+namespace {
+/// Print a one-line usage error and exit 2, the usual code for bad usage.
+[[noreturn]] void usage_error(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  std::exit(2);
+}
+
+/// `text` as a whole unsigned decimal integer in [min, max]; anything
+/// else (empty, a sign, trailing characters, out of range) is a usage
+/// error naming `what`.
+std::uint64_t parse_count(const char* what, const char* text, std::uint64_t min,
+                          std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text + std::strlen(text);
+  const auto [stop, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || stop != end || stop == text || value < min || value > max) {
+    usage_error(util::format("%s must be an integer in [%llu, %llu], got '%s'", what,
+                             static_cast<unsigned long long>(min),
+                             static_cast<unsigned long long>(max), text));
   }
-  return fallback;
+  return value;
+}
+
+/// A positional argument (the job count) rather than an option: it does
+/// not start with '-', or it is a negative number.
+bool positional(const char* arg) {
+  return arg[0] != '-' || (arg[1] >= '0' && arg[1] <= '9');
+}
+
+constexpr std::uint64_t kMaxJobs = 100'000'000;
+constexpr std::uint64_t kMaxReps = 1'000'000;
+}  // namespace
+
+std::size_t jobs_from_argv(int argc, char** argv, std::size_t fallback) {
+  if (argc < 2) return fallback;
+  if (!positional(argv[1])) usage_error(util::format("unknown option '%s'", argv[1]));
+  if (argc > 2) usage_error(util::format("unexpected argument '%s'", argv[2]));
+  return static_cast<std::size_t>(parse_count("job count", argv[1], 1, kMaxJobs));
 }
 
 BenchArgs parse_bench_args(int argc, char** argv, std::size_t fallback_jobs,
@@ -29,16 +65,27 @@ BenchArgs parse_bench_args(int argc, char** argv, std::size_t fallback_jobs,
   BenchArgs args;
   args.jobs = fallback_jobs;
   args.replications = fallback_replications;
+  bool have_jobs = false;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    const auto value = [&]() -> const char* { return i + 1 < argc ? argv[++i] : "0"; };
+    const auto value = [&]() -> const char* {
+      if (i + 1 >= argc || argv[i + 1][0] == '\0') {
+        usage_error(util::format("option '%s' needs a value", arg));
+      }
+      return argv[++i];
+    };
     if (std::strcmp(arg, "--threads") == 0) {
-      args.threads = static_cast<int>(std::strtol(value(), nullptr, 10));
+      args.threads = static_cast<int>(parse_count("--threads", value(), 1, kMaxBenchThreads));
     } else if (std::strcmp(arg, "--reps") == 0) {
-      const long parsed = std::strtol(value(), nullptr, 10);
-      if (parsed > 0) args.replications = static_cast<std::size_t>(parsed);
+      args.replications = static_cast<std::size_t>(parse_count("--reps", value(), 1, kMaxReps));
     } else if (std::strcmp(arg, "--seed") == 0) {
-      args.root_seed = std::strtoull(value(), nullptr, 0);
+      const char* text = value();
+      char* end = nullptr;
+      errno = 0;
+      args.root_seed = std::strtoull(text, &end, 0);
+      if (errno != 0 || *end != '\0' || text[0] == '-' || text[0] == '+') {
+        usage_error(util::format("--seed must be an unsigned integer, got '%s'", text));
+      }
     } else if (std::strcmp(arg, "--json-dir") == 0) {
       args.json_dir = value();
     } else if (std::strcmp(arg, "--no-serial-reference") == 0) {
@@ -46,14 +93,16 @@ BenchArgs parse_bench_args(int argc, char** argv, std::size_t fallback_jobs,
     } else if (std::strcmp(arg, "--trace") == 0) {
       args.trace_path = value();
     } else if (std::strcmp(arg, "--trace-cap") == 0) {
-      args.trace_cap = static_cast<std::size_t>(std::strtoull(value(), nullptr, 10));
+      args.trace_cap = static_cast<std::size_t>(
+          parse_count("--trace-cap", value(), 0, std::numeric_limits<std::uint32_t>::max()));
     } else if (std::strcmp(arg, "--metrics") == 0) {
       args.metrics_path = value();
-    } else if (arg[0] != '-') {
-      const long parsed = std::strtol(arg, nullptr, 10);
-      if (parsed > 0) args.jobs = static_cast<std::size_t>(parsed);
+    } else if (positional(arg)) {
+      if (have_jobs) usage_error(util::format("unexpected argument '%s'", arg));
+      args.jobs = static_cast<std::size_t>(parse_count("job count", arg, 1, kMaxJobs));
+      have_jobs = true;
     } else {
-      std::fprintf(stderr, "warning: unknown option '%s' ignored\n", arg);
+      usage_error(util::format("unknown option '%s'", arg));
     }
   }
   return args;

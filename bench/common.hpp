@@ -5,10 +5,11 @@
 // cleanup filters, partition by user, and (for the modeling benches) fit
 // candidate distributions. Scaled-down sizes are chosen so every bench
 // finishes in minutes on a laptop; pass a positive integer argv[1] to a
-// bench to override the job count.
+// bench to override the job count (anything else is a usage error).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -28,14 +29,23 @@ inline constexpr std::size_t kYearTraceJobs = 40000;
 inline constexpr std::size_t kTestbedJobs = 43200;
 inline constexpr std::size_t kFitSubsample = 3000;
 
-/// Parse an optional job-count override from argv.
+/// Upper bound on --threads: sweeps use a handful of worker threads, and
+/// a typo must not ask the machine for thousands.
+inline constexpr std::uint64_t kMaxBenchThreads = 256;
+
+/// Parse an optional job-count override from argv: `bench [jobs]`. The
+/// job count must be a positive integer. A bad count, an option or a
+/// second argument prints a one-line error and exits 2.
 [[nodiscard]] std::size_t jobs_from_argv(int argc, char** argv, std::size_t fallback);
 
 /// Command-line options shared by the sweep-capable benches:
 ///   bench [jobs] [--threads N] [--reps N] [--seed S] [--json-dir DIR]
 ///         [--no-serial-reference] [--trace FILE] [--trace-cap N] [--metrics FILE]
-/// `--threads 0` (the default) defers to AEQUUS_THREADS, then to the
-/// hardware. Unknown flags warn and are skipped.
+/// Without --threads the sweep defers to AEQUUS_THREADS, then to the
+/// hardware. Strict: a job count, --reps or --threads that is not a
+/// positive integer (--threads at most kMaxBenchThreads), an option
+/// without a value, an unknown option or a second job count prints a
+/// one-line error and exits 2.
 struct BenchArgs {
   std::size_t jobs = 0;
   int threads = 0;               ///< 0 = auto (AEQUUS_THREADS / hardware)

@@ -16,14 +16,33 @@ namespace {
 }
 }  // namespace
 
+Value Value::frozen(Value value) {
+  if (value.is_frozen()) return value;
+  const std::size_t size = value.wire_size();
+  return Value(std::make_shared<const Frozen>(Frozen{std::move(value), size}));
+}
+
+void Value::thaw() {
+  if (is_frozen()) *this = Value(resolved());
+}
+
+bool Value::operator==(const Value& other) const {
+  if (is_frozen() && other.is_frozen() &&
+      std::get<std::shared_ptr<const Frozen>>(data_) ==
+          std::get<std::shared_ptr<const Frozen>>(other.data_)) {
+    return true;
+  }
+  return resolved().data_ == other.resolved().data_;
+}
+
 bool Value::as_bool() const {
   if (!is_bool()) throw std::runtime_error("json: not a bool");
-  return std::get<bool>(data_);
+  return std::get<bool>(resolved().data_);
 }
 
 double Value::as_number() const {
   if (!is_number()) throw std::runtime_error("json: not a number");
-  return std::get<double>(data_);
+  return std::get<double>(resolved().data_);
 }
 
 std::int64_t Value::as_int() const {
@@ -32,26 +51,28 @@ std::int64_t Value::as_int() const {
 
 const std::string& Value::as_string() const {
   if (!is_string()) throw std::runtime_error("json: not a string");
-  return std::get<std::string>(data_);
+  return std::get<std::string>(resolved().data_);
 }
 
 const Array& Value::as_array() const {
   if (!is_array()) throw std::runtime_error("json: not an array");
-  return std::get<Array>(data_);
+  return std::get<Array>(resolved().data_);
 }
 
 const Object& Value::as_object() const {
   if (!is_object()) throw std::runtime_error("json: not an object");
-  return std::get<Object>(data_);
+  return std::get<Object>(resolved().data_);
 }
 
 Array& Value::as_array() {
   if (!is_array()) throw std::runtime_error("json: not an array");
+  thaw();
   return std::get<Array>(data_);
 }
 
 Object& Value::as_object() {
   if (!is_object()) throw std::runtime_error("json: not an object");
+  thaw();
   return std::get<Object>(data_);
 }
 
@@ -94,8 +115,8 @@ const Value& Value::at(std::size_t index) const {
 }
 
 std::size_t Value::size() const {
-  if (is_array()) return std::get<Array>(data_).size();
-  if (is_object()) return std::get<Object>(data_).size();
+  if (is_array()) return as_array().size();
+  if (is_object()) return as_object().size();
   throw std::runtime_error("json: size() on scalar");
 }
 
@@ -175,6 +196,10 @@ void write_number(std::string& out, double d) {
 }  // namespace
 
 void Value::write(std::string& out, int indent, int depth) const {
+  if (is_frozen()) {
+    resolved().write(out, indent, depth);
+    return;
+  }
   const auto newline = [&] {
     if (indent <= 0) return;
     out += '\n';
@@ -229,6 +254,7 @@ std::string Value::dump() const {
 }
 
 std::size_t Value::wire_size() const {
+  if (is_frozen()) return std::get<std::shared_ptr<const Frozen>>(data_)->wire_size;
   if (is_null()) return 4;
   if (is_bool()) return std::get<bool>(data_) ? 4 : 5;
   if (is_number()) {

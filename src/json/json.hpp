@@ -19,15 +19,17 @@
 namespace aequus::json {
 
 class Value;
+struct Frozen;
 
 using Array = std::vector<Value>;
 using Object = std::map<std::string, Value>;
 
 /// A JSON value: null, bool, number (double), string, array, or object.
 ///
-/// Value semantics throughout; copies are deep. Accessors are checked and
-/// throw std::runtime_error on type mismatch, keeping protocol-decoding
-/// call sites terse.
+/// Value semantics throughout; copies are deep, except for a frozen value
+/// (see frozen()), which is immutable and shared. Accessors are checked
+/// and throw std::runtime_error on type mismatch, keeping
+/// protocol-decoding call sites terse.
 class Value {
  public:
   Value() : data_(nullptr) {}
@@ -42,12 +44,26 @@ class Value {
   Value(Array a) : data_(std::move(a)) {}
   Value(Object o) : data_(std::move(o)) {}
 
-  [[nodiscard]] bool is_null() const noexcept { return std::holds_alternative<std::nullptr_t>(data_); }
-  [[nodiscard]] bool is_bool() const noexcept { return std::holds_alternative<bool>(data_); }
-  [[nodiscard]] bool is_number() const noexcept { return std::holds_alternative<double>(data_); }
-  [[nodiscard]] bool is_string() const noexcept { return std::holds_alternative<std::string>(data_); }
-  [[nodiscard]] bool is_array() const noexcept { return std::holds_alternative<Array>(data_); }
-  [[nodiscard]] bool is_object() const noexcept { return std::holds_alternative<Object>(data_); }
+  /// An immutable, shared copy of `value` with its wire_size() computed
+  /// once. Copying the result costs one reference count; every const
+  /// accessor, dump() and pretty() read through to the held value, and
+  /// the mutable as_array()/as_object() first replace the copy they are
+  /// called on with a deep copy (copy-on-write), so a frozen value is
+  /// never changed in place. Freezing a frozen value returns it as is.
+  /// Throws std::domain_error on a non-finite number, as dump() does.
+  [[nodiscard]] static Value frozen(Value value);
+
+  /// True when this value is a frozen() one (shared, immutable).
+  [[nodiscard]] bool is_frozen() const noexcept {
+    return std::holds_alternative<std::shared_ptr<const Frozen>>(data_);
+  }
+
+  [[nodiscard]] bool is_null() const noexcept { return holds<std::nullptr_t>(); }
+  [[nodiscard]] bool is_bool() const noexcept { return holds<bool>(); }
+  [[nodiscard]] bool is_number() const noexcept { return holds<double>(); }
+  [[nodiscard]] bool is_string() const noexcept { return holds<std::string>(); }
+  [[nodiscard]] bool is_array() const noexcept { return holds<Array>(); }
+  [[nodiscard]] bool is_object() const noexcept { return holds<Object>(); }
 
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;
@@ -86,12 +102,38 @@ class Value {
   /// Serialize with 2-space indentation.
   [[nodiscard]] std::string pretty() const;
 
-  bool operator==(const Value& other) const = default;
+  /// Structural equality; a frozen value equals its unfrozen original.
+  /// Two copies of one frozen value compare equal without a walk.
+  [[nodiscard]] bool operator==(const Value& other) const;
 
  private:
+  explicit Value(std::shared_ptr<const Frozen> frozen) : data_(std::move(frozen)) {}
+  /// The value this one stands for: the held value when frozen, else
+  /// *this. Frozen values never nest, so this is at most one hop.
+  [[nodiscard]] const Value& resolved() const noexcept;
+  template <typename T>
+  [[nodiscard]] bool holds() const noexcept {
+    return std::holds_alternative<T>(resolved().data_);
+  }
+  /// Replace a frozen value with a private deep copy before a mutation.
+  void thaw();
   void write(std::string& out, int indent, int depth) const;
-  std::variant<std::nullptr_t, bool, double, std::string, Array, Object> data_;
+  std::variant<std::nullptr_t, bool, double, std::string, Array, Object,
+               std::shared_ptr<const Frozen>>
+      data_;
 };
+
+/// What a frozen Value shares: the immutable value and its memoized
+/// wire_size().
+struct Frozen {
+  Value value;
+  std::size_t wire_size = 0;
+};
+
+inline const Value& Value::resolved() const noexcept {
+  const auto* frozen = std::get_if<std::shared_ptr<const Frozen>>(&data_);
+  return frozen != nullptr ? (*frozen)->value : *this;
+}
 
 /// Parse a complete JSON document. Throws std::runtime_error with a byte
 /// offset on malformed input; trailing garbage is an error, and so is

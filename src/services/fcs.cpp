@@ -52,9 +52,14 @@ void Fcs::update_now() {
   bus_.request(site_, site_ + ".pds", json::Value(std::move(policy_request)),
                [this, cycle](const json::Value& reply) {
                  try {
-                   policy_ = core::PolicyTree::from_json(reply);
+                   // The PDS serves a shared frozen reply: an unchanged
+                   // policy is a pointer compare, not a decode.
+                   if (reply != policy_reply_) {
+                     policy_ = core::PolicyTree::from_json(reply);
+                     policy_reply_ = reply;
+                     refresh_ingest_paths();
+                   }
                    have_policy_ = true;
-                   refresh_ingest_paths();
                    recalculate();
                  } catch (const std::exception& e) {
                    AEQ_WARN("fcs") << site_ << ": bad policy reply: " << e.what();

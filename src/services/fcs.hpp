@@ -121,7 +121,7 @@ class Fcs {
   /// by the poll-driven recalculate() and the push-driven batch commit).
   void republish(const core::FairshareSnapshotPtr& base);
   /// Rebuild the grid-user -> policy-leaf-path map the ingest seam
-  /// resolves through (called whenever a new policy lands).
+  /// resolves through (called whenever a changed policy lands).
   void refresh_ingest_paths();
   /// Count one reply of update cycle `cycle`; closes the cycle's span when
   /// both the policy and usage replies have landed.
@@ -136,6 +136,7 @@ class Fcs {
   obs::Counter* recalculations_ = nullptr;
   std::unique_ptr<core::FairnessBackend> backend_;  ///< never null
   core::PolicyTree policy_;
+  json::Value policy_reply_;  ///< the policy reply policy_ was decoded from
   core::UsageTree usage_;
   bool have_policy_ = false;
   bool have_usage_ = false;  ///< a UMS poll reply landed (enables wholesale set_usage)

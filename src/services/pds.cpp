@@ -56,6 +56,14 @@ void Pds::refresh_mount(const Mount& mount) {
                });
 }
 
+const json::Value& Pds::policy_reply() {
+  if (policy_reply_.is_null() || policy_reply_version_ != version_) {
+    policy_reply_ = json::Value::frozen(policy_.to_json());
+    policy_reply_version_ = version_;
+  }
+  return policy_reply_;
+}
+
 json::Value Pds::handle(const json::Value& request) {
   const std::string op = request.get_string("op");
   telemetry_.hit(op);
@@ -73,7 +81,7 @@ json::Value Pds::handle(const json::Value& request) {
       for (auto& [key, value] : tree.as_object()) reply[key] = value;
       return json::Value(std::move(reply));
     }
-    return policy_.to_json();
+    return policy_reply();
   }
   return json::Value(json::Object{{"error", json::Value("unknown op: " + op)}});
 }

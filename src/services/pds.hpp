@@ -15,6 +15,11 @@
 //       when the policy has not changed since version v, else the policy
 //       tree JSON with a "version" field added (opt-in extension; the
 //       plain "policy" reply stays byte-identical)
+//
+// The plain "policy" reply is a frozen json::Value (json.hpp) stamped with
+// the policy version it was built at; set_policy() and every applied
+// remote mount bump the version, and the next plain request rebuilds it.
+// Polls in between share one immutable reply.
 #pragma once
 
 #include <cstdint>
@@ -65,6 +70,8 @@ class Pds {
 
   json::Value handle(const json::Value& request);
   void refresh_mount(const Mount& mount);
+  /// The frozen plain policy reply, rebuilt when the version moved.
+  const json::Value& policy_reply();
 
   sim::Simulator& simulator_;
   net::ServiceBus& bus_;
@@ -76,6 +83,8 @@ class Pds {
   std::vector<sim::EventHandle> refresh_tasks_;
   int mounts_applied_ = 0;
   std::uint64_t version_ = 0;
+  json::Value policy_reply_;               ///< frozen policy_.to_json(); null until built
+  std::uint64_t policy_reply_version_ = 0;  ///< version_ policy_reply_ was built at
 };
 
 }  // namespace aequus::services

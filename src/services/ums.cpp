@@ -60,8 +60,11 @@ void Ums::update_now() {
   bus_.request(site_, site_ + ".pds", json::Value(std::move(policy_request)),
                [this, cycle](const json::Value& reply) {
                  try {
-                   set_policy(core::PolicyTree::from_json(reply));
-                   rebuild();
+                   if (reply != policy_reply_) {
+                     set_policy(core::PolicyTree::from_json(reply));
+                     policy_reply_ = reply;
+                   }
+                   mark_dirty();
                  } catch (const std::exception& e) {
                    AEQ_WARN("ums") << site_ << ": bad policy reply: " << e.what();
                  }
@@ -74,22 +77,52 @@ void Ums::update_now() {
     bus_.request(site_, target, json::Value(std::move(request)),
                  [this, cycle, target](const json::Value& reply) {
                    ingest(target, reply);
-                   rebuild();
+                   mark_dirty();
                    poll_reply_done(cycle);
                  });
   }
 }
 
+namespace {
+/// True when decoding `users` would yield exactly `stored`: same users in
+/// the same (map) order, and per bin an array whose first two members are
+/// numbers equal to the stored pair. Reads only; allocates nothing.
+bool same_bins(const json::Value& users,
+               const std::map<std::string, std::vector<std::pair<double, double>>>& stored) {
+  if (!users.is_object() || users.size() != stored.size()) return false;
+  auto it = stored.begin();
+  for (const auto& [user, bins] : users.as_object()) {
+    if (user != it->first || !bins.is_array() || bins.size() != it->second.size()) return false;
+    auto bin_it = it->second.begin();
+    for (const auto& bin : bins.as_array()) {
+      if (!bin.is_array() || bin.size() < 2) return false;
+      const json::Value& time = bin.at(0);
+      const json::Value& amount = bin.at(1);
+      if (!time.is_number() || !amount.is_number() || time.as_number() != bin_it->first ||
+          amount.as_number() != bin_it->second) {
+        return false;
+      }
+      ++bin_it;
+    }
+    ++it;
+  }
+  return true;
+}
+}  // namespace
+
 void Ums::ingest(const std::string& source, const json::Value& histograms) {
   try {
-    auto& per_user = sources_[source];
-    per_user.clear();
-    for (const auto& [user, bins] : histograms.at("users").as_object()) {
-      auto& entries = per_user[user];
+    const json::Value& users = histograms.at("users");
+    const auto stored = sources_.find(source);
+    if (stored != sources_.end() && same_bins(users, stored->second)) return;
+    UserBins decoded;
+    for (const auto& [user, bins] : users.as_object()) {
+      Bins& entries = decoded[user];
       for (const auto& bin : bins.as_array()) {
         entries.emplace_back(bin.at(0).as_number(), bin.at(1).as_number());
       }
     }
+    sources_[source] = std::move(decoded);
   } catch (const std::exception& e) {
     AEQ_WARN("ums") << site_ << ": bad histogram reply from " << source << ": " << e.what();
   }
@@ -103,21 +136,31 @@ void Ums::set_policy(const core::PolicyTree& policy) {
   }
 }
 
-void Ums::rebuild() {
-  const double now = simulator_.now();
+void Ums::mark_dirty() {
+  dirty_ = true;
+  dirty_at_ = simulator_.now();
+}
+
+const core::UsageTree& Ums::usage_tree() {
+  if (dirty_) materialize();
+  return tree_;
+}
+
+void Ums::materialize() {
   // Map grid users to policy leaf paths; users missing from the policy are
   // accounted directly under the root.
   core::UsageTree tree;
   for (const auto& [source, per_user] : sources_) {
     (void)source;
     for (const auto& [user, bins] : per_user) {
-      const double amount = decay_.decayed_total(bins, now);
+      const double amount = decay_.decayed_total(bins, dirty_at_);
       if (amount <= 0.0) continue;
       const auto it = path_of_.find(user);
       tree.add(it != path_of_.end() ? it->second : "/" + user, amount);
     }
   }
   tree_ = std::move(tree);
+  dirty_ = false;
   bump(rebuilds_);
   telemetry_.trace(obs::EventKind::kUsageUpdateApplied, "rebuild",
                    static_cast<double>(tree_.total()));
@@ -127,7 +170,7 @@ json::Value Ums::handle(const json::Value& request) {
   const std::string op = request.get_string("op");
   telemetry_.hit(op);
   if (op == "usage") {
-    return tree_.to_json();
+    return usage_tree().to_json();
   }
   return json::Value(json::Object{{"error", json::Value("unknown op: " + op)}});
 }

@@ -5,10 +5,25 @@
 // the site-specific policies."
 //
 // Every `update_interval` seconds the UMS polls its configured USS
-// addresses (the local one plus peers at remote sites), stores the latest
-// per-site histograms, and rebuilds a usage tree: grid users are mapped to
-// policy leaf paths via the site policy (fetched from the local PDS) and
-// bin amounts are weighted by the configured decay function.
+// addresses (the local one plus peers at remote sites) and the local PDS,
+// and stores the latest per-site histograms. From them it builds a usage
+// tree: grid users are mapped to policy leaf paths via the site policy
+// and bin amounts are weighted by the configured decay function.
+//
+// Poll work follows change, not poll count:
+//  - A histogram reply equal to the bins already stored for its source is
+//    not decoded again; a changed one is decoded into a local map and
+//    swapped in only when the whole reply decoded (decode-then-commit: a
+//    malformed reply leaves the source as it was).
+//  - A policy reply equal to the last one applied (the PDS serves a
+//    shared frozen reply, so this is usually a pointer compare) does not
+//    rebuild the leaf-name map.
+//  - Each reply only marks the tree dirty at the current time. The tree
+//    is materialized on the next read — usage_tree() or the "usage" op —
+//    with decay evaluated at the last reply's time, which gives exactly
+//    the tree an eager rebuild after that reply would have. The
+//    "<site>.ums.rebuilds" counter and the "rebuild" trace event count
+//    these materializations.
 //
 // Partial participation (§IV-A-4): a site that should only consider local
 // usage sets `read_remote = false`; a site that must not contribute keeps
@@ -52,21 +67,28 @@ class Ums {
   /// remote peers are polled only when `read_remote` is set.
   void set_peers(std::vector<std::string> uss_addresses);
 
-  /// Current pre-computed usage tree (decayed, path-keyed).
-  [[nodiscard]] const core::UsageTree& usage_tree() const noexcept { return tree_; }
+  /// Current usage tree (decayed, path-keyed), materialized first when a
+  /// reply arrived since the last read.
+  [[nodiscard]] const core::UsageTree& usage_tree();
 
   [[nodiscard]] const std::string& address() const noexcept { return address_; }
   [[nodiscard]] std::uint64_t polls_completed() const noexcept { return polls_; }
 
-  /// Force an immediate poll + rebuild (normally driven by the timer).
+  /// Force an immediate poll (normally driven by the timer).
   void update_now();
 
  private:
+  using Bins = std::vector<std::pair<double, double>>;
+  using UserBins = std::map<std::string, Bins>;
+
   json::Value handle(const json::Value& request);
   void ingest(const std::string& source, const json::Value& histograms);
   /// Rebuild path_of_ from a freshly fetched site policy.
   void set_policy(const core::PolicyTree& policy);
-  void rebuild();
+  /// A reply landed: the tree is stale as of now.
+  void mark_dirty();
+  /// Rebuild tree_ from sources_ and path_of_, decayed at dirty_at_.
+  void materialize();
   /// Count one reply of poll cycle `cycle`; closes the cycle's span when
   /// the last expected reply (or its duplicate-filtered first copy) lands.
   void poll_reply_done(std::uint64_t cycle);
@@ -81,11 +103,14 @@ class Ums {
   core::Decay decay_;
   std::vector<std::string> peers_;
   /// source USS address -> user -> (bin time, amount) pairs
-  std::map<std::string, std::map<std::string, std::vector<std::pair<double, double>>>> sources_;
-  /// Grid user (leaf name) -> policy leaf path, rebuilt once per policy
-  /// reply; empty until the first policy arrives.
+  std::map<std::string, UserBins> sources_;
+  /// Grid user (leaf name) -> policy leaf path, rebuilt when a policy
+  /// reply differs from policy_reply_; empty until the first policy.
   std::map<std::string, std::string> path_of_;
+  json::Value policy_reply_;  ///< last policy reply applied to path_of_
   core::UsageTree tree_;
+  bool dirty_ = false;     ///< a reply landed since tree_ was materialized
+  double dirty_at_ = 0.0;  ///< time of that reply: the decay evaluation time
   std::uint64_t polls_ = 0;
   sim::EventHandle poll_task_;
   /// Span of the in-flight poll cycle; closed "complete" when all replies

@@ -31,6 +31,7 @@ void Uss::report(const std::string& grid_user, double usage) {
 void Uss::report_at(const std::string& grid_user, double usage, double time) {
   if (usage <= 0.0) return;
   ++reports_;
+  histograms_stale_ = true;
   const double bin_start = std::floor(time / config_.bin_width) * config_.bin_width;
   auto& bins = histograms_[grid_user];
   if (bins.empty() || bins.back().first < bin_start) {
@@ -101,6 +102,14 @@ json::Value Uss::histograms_json() const {
   return json::Value(std::move(reply));
 }
 
+const json::Value& Uss::histograms_reply() {
+  if (histograms_stale_) {
+    histograms_reply_ = json::Value::frozen(histograms_json());
+    histograms_stale_ = false;
+  }
+  return histograms_reply_;
+}
+
 json::Value Uss::handle(const json::Value& request) {
   const std::string op = request.get_string("op");
   telemetry_.hit(op);
@@ -130,7 +139,7 @@ json::Value Uss::handle(const json::Value& request) {
     }
   }
   if (op == "histograms") {
-    return histograms_json();
+    return histograms_reply();
   }
   return json::Value(json::Object{{"error", json::Value("unknown op: " + op)}});
 }

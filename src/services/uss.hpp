@@ -14,6 +14,12 @@
 //       -> {"ok":true, "applied":k} | {"ok":true, "duplicate":true}
 //   {"op":"histograms"} -> {"users": {"<user>": [[bin_time, amount], ...]}}
 //
+// The histograms reply is served from a frozen json::Value (json.hpp)
+// built on the first poll after the histograms last changed: every
+// report_at() — and so report() and apply_batch() — marks it stale, and
+// polls in between share one immutable reply for the cost of a reference
+// count, wire_size() included.
+//
 // Batch envelopes come from the ingest delta log (DESIGN.md §6g). They
 // are applied transactionally — all records of an admitted batch, none
 // of a duplicate — and idempotently: the bus may duplicate inter-site
@@ -80,11 +86,13 @@ class Uss {
   [[nodiscard]] std::uint64_t batches_applied() const noexcept { return batches_applied_; }
   [[nodiscard]] std::uint64_t batch_duplicates() const noexcept { return batch_duplicates_; }
 
-  /// Serialize histograms into the wire format.
+  /// Serialize histograms into the wire format (a fresh, unshared tree).
   [[nodiscard]] json::Value histograms_json() const;
 
  private:
   json::Value handle(const json::Value& request);
+  /// The frozen histograms reply, rebuilt only when stale.
+  const json::Value& histograms_reply();
 
   sim::Simulator& simulator_;
   net::ServiceBus& bus_;
@@ -93,6 +101,8 @@ class Uss {
   UssConfig config_;
   ServiceTelemetry telemetry_;
   std::map<std::string, std::vector<std::pair<double, double>>> histograms_;
+  json::Value histograms_reply_;   ///< frozen histograms_json(); valid unless stale
+  bool histograms_stale_ = true;   ///< histograms_ changed since the reply was built
   std::uint64_t reports_ = 0;
   ingest::BatchApplier applier_;
   std::uint64_t batches_applied_ = 0;

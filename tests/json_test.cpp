@@ -252,6 +252,142 @@ TEST(JsonProperty, WireSizeEqualsDumpLength) {
   EXPECT_TRUE(outcome.passed) << outcome.summary();
 }
 
+/// frozen(v) must be indistinguishable from v on every read.
+void expect_frozen_matches(const Value& v) {
+  const Value frozen = Value::frozen(v);
+  EXPECT_TRUE(frozen.is_frozen());
+  EXPECT_EQ(frozen.dump(), v.dump());
+  EXPECT_EQ(frozen.pretty(), v.pretty());
+  EXPECT_EQ(frozen.wire_size(), v.dump().size());
+  EXPECT_EQ(frozen, v);
+  EXPECT_EQ(v, frozen);
+  EXPECT_EQ(frozen.is_object(), v.is_object());
+  EXPECT_EQ(frozen.is_array(), v.is_array());
+}
+
+TEST(JsonFrozen, ReadsThroughToTheHeldValue) {
+  const Value doc = parse(R"({"users":{"alice":[[0,1.5],[60,2]],"bob":[]},"ok":true})");
+  for (const Value& v : {doc, Value(), Value(false), Value(3.25), Value("s\n\"q"),
+                         Value(Array{}), Value(Object{})}) {
+    expect_frozen_matches(v);
+  }
+  const Value frozen = Value::frozen(doc);
+  EXPECT_EQ(frozen.at("users").at("alice").at(1).at(0).as_number(), 60.0);
+  EXPECT_EQ(frozen.size(), 2u);
+  EXPECT_TRUE(frozen.get_bool("ok"));
+  EXPECT_FALSE(frozen.find("missing").has_value());
+  EXPECT_EQ(frozen.get_string("missing", "fallback"), "fallback");
+  EXPECT_THROW((void)frozen.as_array(), std::runtime_error);
+  const Value number = Value::frozen(Value(2.6));
+  EXPECT_EQ(number.as_int(), 3);
+  EXPECT_THROW((void)number.size(), std::runtime_error);
+  EXPECT_NE(Value::frozen(Value(1.0)), Value(2.0));
+}
+
+TEST(JsonFrozen, NestedInsideOrdinaryContainers) {
+  const Value inner = parse(R"({"a":[1,2,{"b":null}],"c":"d"})");
+  const Value frozen = Value::frozen(inner);
+  const Value plain_array(Array{inner, Value(7)});
+  const Value mixed_array(Array{frozen, Value(7)});
+  EXPECT_EQ(mixed_array.dump(), plain_array.dump());
+  EXPECT_EQ(mixed_array.pretty(), plain_array.pretty());
+  EXPECT_EQ(mixed_array.wire_size(), plain_array.dump().size());
+  EXPECT_EQ(mixed_array, plain_array);
+  const Value plain_object(Object{{"x", inner}, {"y", Value(Array{inner})}});
+  const Value mixed_object(Object{{"x", frozen}, {"y", Value(Array{frozen})}});
+  EXPECT_EQ(mixed_object.dump(), plain_object.dump());
+  EXPECT_EQ(mixed_object.pretty(), plain_object.pretty());
+  EXPECT_EQ(mixed_object.wire_size(), plain_object.dump().size());
+  EXPECT_EQ(mixed_object, plain_object);
+  expect_frozen_matches(mixed_object);
+}
+
+TEST(JsonFrozen, MutationCopiesOnWrite) {
+  const Value original = Value::frozen(parse(R"({"k":[1,2],"n":{"m":3}})"));
+  const std::string before = original.dump();
+  Value object_copy = original;
+  Value array_copy = original.at("k");
+  Value untouched = original;
+  EXPECT_EQ(object_copy, original);  // one shared value until written
+
+  object_copy.as_object()["k"] = Value("changed");
+  EXPECT_FALSE(object_copy.is_frozen());
+  EXPECT_EQ(object_copy.dump(), R"({"k":"changed","n":{"m":3}})");
+  EXPECT_NE(object_copy, original);
+
+  Value frozen_array = Value::frozen(array_copy);
+  Value frozen_array_copy = frozen_array;
+  frozen_array_copy.as_array().push_back(Value(3));
+  EXPECT_EQ(frozen_array_copy.dump(), "[1,2,3]");
+  EXPECT_EQ(frozen_array.dump(), "[1,2]");
+  EXPECT_EQ(frozen_array.wire_size(), 5u);
+
+  EXPECT_EQ(original.dump(), before);
+  EXPECT_EQ(untouched.dump(), before);
+  EXPECT_EQ(original.wire_size(), before.size());
+  EXPECT_TRUE(original.is_frozen());
+  EXPECT_TRUE(untouched.is_frozen());
+}
+
+TEST(JsonFrozen, FreezingAFrozenValueDoesNotNest) {
+  const Value once = Value::frozen(parse(R"([{"a":1}])"));
+  const Value twice = Value::frozen(once);
+  EXPECT_TRUE(twice.is_frozen());
+  EXPECT_EQ(twice, once);
+  // The held value is the plain document, not another frozen layer: a
+  // write through the twice-frozen copy thaws straight to a plain array.
+  Value copy = twice;
+  copy.as_array().clear();
+  EXPECT_FALSE(copy.is_frozen());
+  EXPECT_EQ(copy.dump(), "[]");
+  EXPECT_EQ(once.dump(), R"([{"a":1}])");
+  EXPECT_EQ(Value::frozen(Value::frozen(Value::frozen(Value(1)))).dump(), "1");
+}
+
+TEST(JsonFrozen, NonFiniteNumbersThrowFromFrozen) {
+  for (const double d : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)Value::frozen(Value(d)), std::domain_error);
+    EXPECT_THROW((void)Value::frozen(Value(Array{Value(Object{{"x", Value(d)}})})),
+                 std::domain_error);
+  }
+}
+
+TEST(JsonProperty, FrozenValuesMatchTheirOriginals) {
+  // 300 seeded documents, each compared frozen vs plain and nested in an
+  // ordinary container, then mutated through a copy. Replay a failing
+  // seed alone with AEQUUS_PROPERTY_SEED=<seed>.
+  const auto outcome = aequus::testing::run_property(
+      "json-frozen", 300, 0xf502, [](std::uint64_t seed) {
+        util::Rng rng(seed);
+        const Value original = aequus::testing::random_json(rng, 5);
+        const std::string text = original.dump();
+        const Value frozen = Value::frozen(original);
+        aequus::testing::require(frozen.dump() == text, "dump differs");
+        aequus::testing::require(frozen.pretty() == original.pretty(), "pretty differs");
+        aequus::testing::require(frozen.wire_size() == text.size(), "wire_size differs");
+        aequus::testing::require(frozen == original && original == frozen, "== differs");
+        aequus::testing::require(Value::frozen(frozen) == frozen, "refreeze differs");
+        const Value nested(Object{{"doc", frozen}, {"list", Value(Array{frozen, original})}});
+        const Value plain(Object{{"doc", original}, {"list", Value(Array{original, original})}});
+        aequus::testing::require(nested.dump() == plain.dump(), "nested dump differs");
+        aequus::testing::require(nested.wire_size() == plain.dump().size(),
+                                 "nested wire_size differs");
+        aequus::testing::require(nested == plain, "nested == differs");
+        Value copy = frozen;
+        if (copy.is_object()) {
+          copy.as_object()["\x01mutated"] = Value(1);
+        } else if (copy.is_array()) {
+          copy.as_array().push_back(Value(1));
+        }
+        aequus::testing::require(frozen.dump() == text && frozen.wire_size() == text.size(),
+                                 "a copy's mutation reached the frozen original");
+        aequus::testing::require(original.dump() == text, "the source document changed");
+      });
+  EXPECT_TRUE(outcome.passed) << outcome.summary();
+}
+
 TEST(JsonParse, RejectsHostileNestingDepthWithoutCrashing) {
   const std::string bomb(1000000, '[');
   try {

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "core/decay.hpp"
+#include "ingest/delta.hpp"
 #include "obs/metrics.hpp"
 #include "services/installation.hpp"
 #include "services/telemetry.hpp"
+#include "util/logging.hpp"
 #include "util/strings.hpp"
 
 namespace aequus::services {
@@ -386,6 +392,216 @@ TEST_F(ServicesTest, NonContributingSiteIsInvisibleRemotely) {
   // ...but site A itself still accounts for it (reads stay local).
   EXPECT_LT(a.fcs().factor_for("alice"), 0.5);
   EXPECT_LT(a.fcs().factor_for("alice"), a.fcs().factor_for("bob"));
+}
+
+const json::Value kHistogramsOp = json::parse(R"({"op":"histograms"})");
+const json::Value kPolicyOp = json::parse(R"({"op":"policy"})");
+
+/// The served histograms reply must be exactly a fresh serialization of
+/// the current histograms.
+void expect_reply_current(net::ServiceBus& bus, const Uss& uss) {
+  const json::Value reply = bus.call(uss.address(), kHistogramsOp);
+  EXPECT_TRUE(reply.is_frozen());
+  EXPECT_EQ(reply.dump(), uss.histograms_json().dump());
+  EXPECT_EQ(reply.wire_size(), reply.dump().size());
+}
+
+TEST_F(ServicesTest, UssHistogramsReplyFollowsEveryChange) {
+  UssConfig config;
+  config.bin_width = 60.0;
+  config.retention = 600.0;
+  Uss uss(simulator, bus, "site0", config);
+  expect_reply_current(bus, uss);  // empty
+
+  uss.report("alice", 10.0);
+  const json::Value first = bus.call("site0.uss", kHistogramsOp);
+  expect_reply_current(bus, uss);
+  EXPECT_EQ(bus.call("site0.uss", kHistogramsOp), first);  // served again, unchanged
+
+  simulator.run_until(200.0);
+  uss.report("alice", 5.0);                // new bin at 180
+  uss.report_at("alice", 2.5, 70.0);       // out of order: lands in bin 60
+  uss.report_at("bob", 1.0, 130.0);
+  expect_reply_current(bus, uss);
+  EXPECT_EQ(uss.histograms().at("alice").size(), 3u);
+
+  ingest::DeltaBatch batch;
+  batch.source = "siteX";
+  batch.seq = 1;
+  batch.deltas = {{"carol", 150.0, 4.0}, {"alice", 190.0, 1.0}};
+  ASSERT_TRUE(uss.apply_batch(batch));
+  const json::Value after_batch = bus.call("site0.uss", kHistogramsOp);
+  expect_reply_current(bus, uss);
+  EXPECT_DOUBLE_EQ(after_batch.at("users").at("carol").at(0).at(1).as_number(), 4.0);
+
+  // A duplicate batch is not admitted, so the reply stays the same.
+  ASSERT_FALSE(uss.apply_batch(batch));
+  EXPECT_EQ(bus.call("site0.uss", kHistogramsOp).dump(), after_batch.dump());
+  expect_reply_current(bus, uss);
+
+  // Past the retention horizon the next report prunes the old bins.
+  simulator.run_until(800.0);
+  uss.report("alice", 1.0);
+  expect_reply_current(bus, uss);
+  const json::Value pruned = bus.call("site0.uss", kHistogramsOp);
+  ASSERT_EQ(pruned.at("users").at("alice").size(), 1u);
+  EXPECT_DOUBLE_EQ(pruned.at("users").at("alice").at(0).at(0).as_number(), 780.0);
+}
+
+TEST_F(ServicesTest, PdsPolicyReplyFollowsSetPolicyAndMounts) {
+  Pds local(simulator, bus, "site0");
+  Pds remote(simulator, bus, "global");
+  local.set_policy(flat_policy({{"alice", 1.0}}));
+  remote.set_policy(flat_policy({{"projA", 1.0}}));
+
+  const json::Value first = bus.call("site0.pds", kPolicyOp);
+  EXPECT_TRUE(first.is_frozen());
+  EXPECT_EQ(first.dump(), local.policy().to_json().dump());
+  EXPECT_EQ(bus.call("site0.pds", kPolicyOp), first);
+
+  local.set_policy(flat_policy({{"alice", 1.0}, {"bob", 2.0}}));
+  const json::Value edited = bus.call("site0.pds", kPolicyOp);
+  EXPECT_EQ(edited.dump(), local.policy().to_json().dump());
+  EXPECT_NE(edited, first);
+
+  local.mount_remote("/grid", "global.pds", 0.5, 100.0);
+  simulator.run_until(5.0);
+  ASSERT_EQ(local.mounts_applied(), 1);
+  const json::Value mounted = bus.call("site0.pds", kPolicyOp);
+  EXPECT_EQ(mounted.dump(), local.policy().to_json().dump());
+  EXPECT_TRUE(local.policy().contains("/grid/projA"));
+
+  // A changed remote policy lands at the next refresh.
+  remote.set_policy(flat_policy({{"projB", 1.0}}));
+  simulator.run_until(150.0);
+  ASSERT_EQ(local.mounts_applied(), 2);
+  const json::Value refreshed = bus.call("site0.pds", kPolicyOp);
+  EXPECT_EQ(refreshed.dump(), local.policy().to_json().dump());
+  EXPECT_NE(refreshed.dump(), mounted.dump());
+}
+
+TEST_F(ServicesTest, UmsMaterializesOnReadAtTheLastReplyTime) {
+  // Binary-exact latencies, so the last reply time is exact too.
+  bus.set_local_latency(0.25);
+  bus.set_remote_latency(0.5);
+  obs::Registry registry;
+  Pds pds(simulator, bus, "site0");
+  pds.set_policy(flat_policy({{"alice", 1.0}, {"bob", 1.0}}));
+  Uss uss0(simulator, bus, "site0");
+  Uss uss1(simulator, bus, "site1");
+  UmsConfig config;
+  config.update_interval = 30.0;
+  config.decay = core::DecayConfig{core::DecayKind::kExponentialHalfLife, 100.0, 0.0};
+  Ums ums(simulator, bus, "site0", config, {&registry, nullptr});
+  ums.set_peers({"site0.uss", "site1.uss"});
+
+  simulator.schedule_at(3.0, [&] { uss0.report("alice", 120.0); });
+  simulator.schedule_at(50.0, [&] { uss1.report("bob", 40.0); });
+  simulator.schedule_at(70.0, [&] { uss1.report("carol", 7.0); });
+  simulator.run_until(95.0);  // polls at 30, 60, 90; the last reply lands at 91
+
+  // Nothing was read, so nothing was materialized.
+  EXPECT_EQ(ums.polls_completed(), 3u);
+  EXPECT_EQ(registry.snapshot().counter("site0.ums.rebuilds"), 0u);
+
+  const core::Decay decay(config.decay);
+  core::UsageTree expected;
+  for (const Uss* uss : {&uss0, &uss1}) {
+    for (const auto& [user, bins] : uss->histograms()) {
+      expected.add("/" + user, decay.decayed_total(bins, 91.0));
+    }
+  }
+  EXPECT_EQ(ums.usage_tree().leaves(), expected.leaves());
+  EXPECT_EQ(ums.usage_tree().total(), expected.total());
+  EXPECT_EQ(registry.snapshot().counter("site0.ums.rebuilds"), 1u);
+
+  // Clean reads, the usage op included, reuse the tree.
+  EXPECT_EQ(bus.call("site0.ums", json::parse(R"({"op":"usage"})")).dump(),
+            expected.to_json().dump());
+  EXPECT_EQ(registry.snapshot().counter("site0.ums.rebuilds"), 1u);
+
+  // The next poll's replies make it dirty again; the read at 200 decays
+  // at the last reply time (181), not at the read time.
+  simulator.run_until(200.0);
+  core::UsageTree later;
+  for (const Uss* uss : {&uss0, &uss1}) {
+    for (const auto& [user, bins] : uss->histograms()) {
+      later.add("/" + user, decay.decayed_total(bins, 181.0));
+    }
+  }
+  EXPECT_EQ(bus.call("site0.ums", json::parse(R"({"op":"usage"})")).dump(),
+            later.to_json().dump());
+  EXPECT_EQ(ums.usage_tree().leaves(), later.leaves());
+  EXPECT_EQ(registry.snapshot().counter("site0.ums.rebuilds"), 2u);
+}
+
+TEST_F(ServicesTest, PolicyChangeMidRunIsRemappedByUmsAndFcs) {
+  Pds office(simulator, bus, "office");
+  core::PolicyTree before;
+  before.set_share("/projA/ana", 1.0);
+  before.set_share("/projB/ben", 1.0);
+  office.set_policy(before);
+
+  InstallationConfig no_decay;
+  no_decay.ums.decay.kind = core::DecayKind::kNone;
+  Installation site(simulator, bus, "siteA", no_decay);
+  core::PolicyTree local;
+  local.set_share("/staff", 1.0);
+  site.set_policy(local);
+  site.pds().mount_remote("/grid", "office.pds", 1.0, 200.0);
+  site.uss().report("ana", 300.0);
+  simulator.run_until(100.0);
+  EXPECT_DOUBLE_EQ(site.ums().usage_tree().usage("/grid/projA/ana"), 300.0);
+  EXPECT_EQ(site.fcs().table().count("/grid/projA/ana"), 1u);
+
+  // ana moves to projB on the remote PDS; the mount refresh at 200 and
+  // the next poll cycles move her usage and factor to the new leaf.
+  core::PolicyTree after;
+  after.set_share("/projB/ana", 1.0);
+  after.set_share("/projB/ben", 1.0);
+  office.set_policy(after);
+  simulator.run_until(300.0);
+  ASSERT_TRUE(site.pds().policy().contains("/grid/projB/ana"));
+  EXPECT_DOUBLE_EQ(site.ums().usage_tree().usage("/grid/projB/ana"), 300.0);
+  EXPECT_DOUBLE_EQ(site.ums().usage_tree().usage("/grid/projA"), 0.0);
+  EXPECT_EQ(site.fcs().table().count("/grid/projA/ana"), 0u);
+  EXPECT_EQ(site.fcs().table().count("/grid/projB/ana"), 1u);
+  EXPECT_LT(site.fcs().factor_for("ana"), site.fcs().factor_for("ben"));
+}
+
+TEST_F(ServicesTest, UmsKeepsASourceWhenAReplyIsMalformedPartway) {
+  Pds pds(simulator, bus, "site0");
+  pds.set_policy(flat_policy({{"alice", 1.0}, {"bob", 1.0}}));
+  // A stand-in USS whose reply the test controls.
+  json::Value reply = json::parse(R"({"users":{"alice":[[0,10]],"bob":[[0,5],[60,1]]}})");
+  bus.bind("site0.uss", [&](const json::Value&) { return reply; });
+  UmsConfig config;
+  config.decay.kind = core::DecayKind::kNone;
+  Ums ums(simulator, bus, "site0", config);
+  simulator.run_until(35.0);
+  const core::UsageTree good = ums.usage_tree();
+  ASSERT_DOUBLE_EQ(good.usage("/bob"), 6.0);
+
+  // alice decodes, then bob's second bin is a string: nothing commits.
+  std::vector<std::string> warnings;
+  util::Logger::instance().set_sink(
+      [&](util::LogLevel, std::string_view component, std::string_view message) {
+        warnings.push_back(std::string(component) + ": " + std::string(message));
+      });
+  reply = json::parse(R"({"users":{"alice":[[0,99]],"bob":[[0,5],[60,"x"]]}})");
+  simulator.run_until(65.0);
+  util::Logger::instance().set_sink(nullptr);
+  ASSERT_EQ(warnings.size(), 1u);
+  EXPECT_NE(warnings[0].find("bad histogram reply from site0.uss"), std::string::npos)
+      << warnings[0];
+  EXPECT_EQ(ums.usage_tree().leaves(), good.leaves());
+  EXPECT_EQ(ums.usage_tree().total(), good.total());
+
+  // The next well-formed reply commits as usual.
+  reply = json::parse(R"({"users":{"alice":[[0,99]]}})");
+  simulator.run_until(95.0);
+  EXPECT_DOUBLE_EQ(ums.usage_tree().usage("/alice"), 99.0);
+  EXPECT_DOUBLE_EQ(ums.usage_tree().usage("/bob"), 0.0);
 }
 
 TEST_F(ServicesTest, TelemetryCountsKnownAndUnknownOps) {
