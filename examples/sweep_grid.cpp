@@ -4,29 +4,69 @@
 //   ./build/examples/sweep_grid [jobs] [--threads N]
 //   AEQUUS_THREADS=4 ./build/examples/sweep_grid
 //
+// Arguments are strict: a non-numeric, zero or negative job count,
+// --threads outside 1..256, an option without a value, a second job count
+// or an unknown option prints one `error:` line and exits 2.
+//
 // Each (variant, replication) task runs its own Experiment on a worker
 // thread with a seed derived from the root seed and the task index, so
 // the numbers printed here are identical at any thread count.
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "core/decay.hpp"
 #include "testbed/sweep.hpp"
 #include "util/strings.hpp"
 #include "workload/scenarios.hpp"
 
+namespace {
+
+/// Print a one-line usage error and exit 2, like the benches do.
+[[noreturn]] void usage_error(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  std::exit(2);
+}
+
+/// `text` as a whole decimal integer in [min, max], or a usage error.
+std::uint64_t parse_count(const char* what, const char* text, std::uint64_t min,
+                          std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text + std::strlen(text);
+  const auto [stop, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || stop != end || stop == text || value < min || value > max) {
+    usage_error(aequus::util::format("%s must be an integer in [%llu, %llu], got '%s'", what,
+                                     static_cast<unsigned long long>(min),
+                                     static_cast<unsigned long long>(max), text));
+  }
+  return value;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace aequus;
 
   std::size_t jobs = 2000;
-  int threads = 0;
+  int threads = 0;  // 0 = AEQUUS_THREADS or all cores
+  bool have_jobs = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (argv[i][0] != '-') {
-      const long parsed = std::strtol(argv[i], nullptr, 10);
-      if (parsed > 0) jobs = static_cast<std::size_t>(parsed);
+    const char* arg = argv[i];
+    // A job count does not start with '-' unless it is a negative number.
+    const bool positional = arg[0] != '-' || (arg[1] >= '0' && arg[1] <= '9');
+    if (std::strcmp(arg, "--threads") == 0) {
+      if (i + 1 >= argc || argv[i + 1][0] == '\0') usage_error("option '--threads' needs a value");
+      threads = static_cast<int>(parse_count("--threads", argv[++i], 1, 256));
+    } else if (positional && !have_jobs) {
+      jobs = static_cast<std::size_t>(parse_count("job count", arg, 1, 100'000'000));
+      have_jobs = true;
+    } else if (positional) {
+      usage_error(util::format("unexpected argument '%s'", arg));
+    } else {
+      usage_error(util::format("unknown option '%s'", arg));
     }
   }
 

@@ -174,12 +174,12 @@ std::optional<std::string> AequusClient::resolve_identity(const std::string& sys
   if (it != identity_cache_.end() && it->second.expires > now) {
     ++stats_.identity_hits;
     obs::bump(metrics_.identity_hits);
-    trace(obs::EventKind::kCacheHit, "identity:" + system_user);
+    if (tracing()) trace(obs::EventKind::kCacheHit, "identity:" + system_user);
     return it->second.grid_user;
   }
   ++stats_.identity_misses;
   obs::bump(metrics_.identity_misses);
-  trace(obs::EventKind::kCacheMiss, "identity:" + system_user);
+  if (tracing()) trace(obs::EventKind::kCacheMiss, "identity:" + system_user);
   json::Object request;
   request["op"] = "resolve";
   request["system_user"] = system_user;

@@ -22,7 +22,7 @@ core::FairshareSnapshotPtr SchedulerBase::current_fairshare() const {
 void SchedulerBase::ensure_reprioritize_scheduled() {
   // Periodic priority sweeps run only while jobs wait, so an idle
   // scheduler leaves the event queue drainable.
-  if (reprioritize_scheduled_ || pending_.empty()) return;
+  if (reprioritize_scheduled_ || index_.empty()) return;
   reprioritize_scheduled_ = true;
   reprioritize_handle_ =
       simulator_.schedule_after(config_.reprioritize_interval, [this] {
@@ -40,7 +40,18 @@ JobId SchedulerBase::submit(Job job) {
   job.priority =
       compute_priority(PriorityContext{job, simulator_.now(), current_fairshare(), site_label_});
   const JobId id = job.id;
-  pending_.push_back(std::move(job));
+  auto slot = static_cast<std::uint32_t>(slots_.size());
+  if (free_slots_.empty()) {
+    slots_.push_back(std::move(job));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(job);
+  }
+  const Job& queued = slots_[slot];
+  const DispatchKey key{queued.priority, queued.submit_time, id, next_rank_++, slot};
+  index_.insert(std::lower_bound(index_.begin(), index_.end(), key, dispatches_after), key);
+  min_pending_cores_ = std::min(min_pending_cores_, queued.cores);
   ++stats_.submitted;
   obs::bump(submitted_counter_);
   schedule_pass();
@@ -77,42 +88,61 @@ void SchedulerBase::reschedule() {
   }
   obs::SpanScope scope(obs_.tracer, span);
   // One snapshot for the whole sweep: every pending job is priced against
-  // the same fairshare generation.
+  // the same fairshare generation. Jobs are priced in dispatch order (the
+  // order of the policy's IRS lookups on identity-cache misses), and each
+  // key is re-ranked as it is walked, so full ties keep this order.
   const core::FairshareSnapshotPtr fairshare = current_fairshare();
-  for (auto& job : pending_) {
+  for (auto key = index_.rbegin(); key != index_.rend(); ++key) {
+    Job& job = slots_[key->slot];
     job.priority = compute_priority(PriorityContext{job, now, fairshare, site_label_});
+    key->priority = job.priority;
+    key->rank = next_rank_++;
   }
+  std::sort(index_.begin(), index_.end(), dispatches_after);
   schedule_pass();
   if (span.valid() && obs_.tracer != nullptr) {
     obs_.tracer->end_span(simulator_.now(), span, obs_site_, "rm", {},
-                          static_cast<double>(pending_.size()));
+                          static_cast<double>(index_.size()));
   }
 }
 
-void SchedulerBase::schedule_pass() {
-  if (pending_.empty()) return;
+bool SchedulerBase::dispatches_after(const DispatchKey& a, const DispatchKey& b) noexcept {
   // Highest priority first; ties dispatch FIFO by submit time, then by
   // job id so externally assigned ids cannot jump jobs submitted earlier
-  // in the same instant.
-  std::stable_sort(pending_.begin(), pending_.end(), [](const Job& a, const Job& b) {
-    if (a.priority != b.priority) return a.priority > b.priority;
-    if (a.submit_time != b.submit_time) return a.submit_time < b.submit_time;
-    return a.id < b.id;
-  });
-  std::deque<Job> still_pending;
-  bool blocked = false;
-  while (!pending_.empty()) {
-    Job job = std::move(pending_.front());
-    pending_.pop_front();
-    if (blocked || !cluster_.can_allocate(job.cores)) {
-      if (!config_.backfill) blocked = true;
-      still_pending.push_back(std::move(job));
+  // in the same instant, then in previous queue order.
+  if (a.priority != b.priority) return a.priority < b.priority;
+  if (a.submit_time != b.submit_time) return a.submit_time > b.submit_time;
+  if (a.id != b.id) return a.id > b.id;
+  return a.rank > b.rank;
+}
+
+void SchedulerBase::schedule_pass() {
+  if (index_.empty()) return;
+  // Walk from the dispatch end; `kept` counts the walked keys that stay
+  // queued, packed against the back so one erase closes the gap.
+  std::size_t next = index_.size();
+  std::size_t kept = 0;
+  int min_kept_cores = std::numeric_limits<int>::max();
+  while (next > 0 && cluster_.free_cores() >= min_pending_cores_) {
+    const DispatchKey key = index_[--next];
+    Job& job = slots_[key.slot];
+    if (!cluster_.can_allocate(job.cores)) {
+      if (!config_.backfill) {
+        ++next;  // strict priority order: nothing passes a blocked job
+        break;
+      }
+      min_kept_cores = std::min(min_kept_cores, job.cores);
+      index_[index_.size() - ++kept] = key;
       continue;
     }
+    free_slots_.push_back(key.slot);
     start_job(std::move(job));
   }
-  pending_ = std::move(still_pending);
-  if (pending_.empty() && reprioritize_scheduled_) {
+  index_.erase(index_.begin() + static_cast<std::ptrdiff_t>(next),
+               index_.end() - static_cast<std::ptrdiff_t>(kept));
+  // A walk that reached the front saw every pending job.
+  if (next == 0) min_pending_cores_ = min_kept_cores;
+  if (index_.empty() && reprioritize_scheduled_) {
     reprioritize_handle_.cancel();
     reprioritize_scheduled_ = false;
   }

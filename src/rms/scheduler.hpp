@@ -10,6 +10,16 @@
 //     cluster can place them (first-fit; no backfill past a blocked job
 //     unless `backfill` is enabled).
 //
+// The pending queue is incremental (DESIGN.md §6l): jobs sit in stable
+// slots, and a sorted index of small dispatch keys (priority desc, submit
+// time asc, id asc, then the rank the job held in the previous order)
+// puts the next job to start at its back. A submit binary-searches its
+// key into place, a pass walks from the back and stops once no pending
+// request fits in the free cores, and only a reprioritization sweep
+// sorts the index — so each event costs work in proportion to what it
+// changed, and the dispatch order is the one a stable sort of the whole
+// queue on every pass would give.
+//
 // Derived classes supply the priority policy (compute_priority) and get
 // completion callbacks — the two seams the paper uses for integration
 // ("the normal fairshare priority calculation code replaced with a call
@@ -17,8 +27,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -100,7 +110,7 @@ class SchedulerBase {
 
   [[nodiscard]] const Cluster& cluster() const noexcept { return cluster_; }
   [[nodiscard]] const SchedulerStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] std::size_t pending_count() const noexcept { return pending_.size(); }
+  [[nodiscard]] std::size_t pending_count() const noexcept { return index_.size(); }
   [[nodiscard]] std::size_t running_count() const noexcept { return running_; }
   [[nodiscard]] sim::Simulator& simulator() noexcept { return simulator_; }
 
@@ -121,6 +131,22 @@ class SchedulerBase {
   virtual void on_job_completed(const Job& job) { (void)job; }
 
  private:
+  /// Sort key of one pending job; `slot` names its Job in `slots_`.
+  /// `rank` is the final tie-break: a new job ranks after every queued
+  /// one, and a sweep renumbers ranks in the order it walks the queue,
+  /// so full ties keep their previous relative order (what a stable
+  /// sort of the whole queue on every pass would do).
+  struct DispatchKey {
+    double priority;
+    double submit_time;
+    JobId id;
+    std::uint64_t rank;
+    std::uint32_t slot;
+  };
+  /// True when `a` dispatches after `b`: the index is kept sorted by it,
+  /// so the next job to start sits at the back.
+  [[nodiscard]] static bool dispatches_after(const DispatchKey& a, const DispatchKey& b) noexcept;
+
   void schedule_pass();
   void start_job(Job job);
   void finish_job(Job job);
@@ -138,7 +164,14 @@ class SchedulerBase {
   obs::Counter* started_counter_ = nullptr;
   obs::Counter* completed_counter_ = nullptr;
   obs::Histogram* wait_histogram_ = nullptr;
-  std::deque<Job> pending_;
+  std::vector<Job> slots_;                ///< pending jobs, addressed by slot
+  std::vector<std::uint32_t> free_slots_;  ///< vacated entries of slots_
+  std::vector<DispatchKey> index_;        ///< pending keys, next to start last
+  std::uint64_t next_rank_ = 0;
+  /// Lower bound on the smallest pending core request: a pass stops once
+  /// the free cores drop below it. Exact again after a pass that walks
+  /// the whole queue.
+  int min_pending_cores_ = std::numeric_limits<int>::max();
   std::size_t running_ = 0;
   JobId next_id_ = 1;
   SchedulerStats stats_;

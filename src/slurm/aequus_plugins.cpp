@@ -1,16 +1,20 @@
 #include "slurm/aequus_plugins.hpp"
 
+#include <optional>
+#include <string>
+
 namespace aequus::slurm {
 
 FairshareSource aequus_fairshare_source(client::AequusClient& client) {
   return [&client](const rms::PriorityContext& context) -> double {
     // Prefer an already-known grid identity; otherwise resolve the system
     // account through the IRS.
-    std::string grid_user = context.job.grid_user;
-    if (grid_user.empty()) {
-      const auto resolved = client.resolve_identity(context.job.system_user);
+    const std::string* grid_user = &context.job.grid_user;
+    std::optional<std::string> resolved;
+    if (grid_user->empty()) {
+      resolved = client.resolve_identity(context.job.system_user);
       if (!resolved) return core::kNeutralFactor;  // unresolvable accounts stay neutral
-      grid_user = *resolved;
+      grid_user = &*resolved;
     }
     // One fetch path for every scheduler flavour: the pass's pinned
     // snapshot when the scheduler supplied one — the same values as the
@@ -18,7 +22,7 @@ FairshareSource aequus_fairshare_source(client::AequusClient& client) {
     // generation for the whole sweep — with the client's cached snapshot
     // as the no-provider fallback. PriorityContext::priority_of owns the
     // missing-leaf kNeutralFactor convention.
-    return context.priority_of(grid_user, client.snapshot());
+    return context.priority_of(*grid_user, client.snapshot());
   };
 }
 

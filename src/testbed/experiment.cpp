@@ -98,8 +98,13 @@ std::size_t Experiment::apply_offloads(std::size_t index, double now) {
 }
 
 void Experiment::schedule_submissions() {
-  for (const auto& record : scenario_.trace.records()) {
-    tasks_.push_back(simulator_.schedule_at(record.submit, [this, record] {
+  // Each event captures only the record's position (small enough for
+  // std::function's inline storage) and reads the record when it fires;
+  // the trace outlives the run.
+  const auto& records = scenario_.trace.records();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    tasks_.push_back(simulator_.schedule_at(records[i].submit, [this, i] {
+      const workload::TraceRecord& record = scenario_.trace.records()[i];
       std::size_t index;
       if (config_.dispatch == DispatchPolicy::kRoundRobin) {
         index = round_robin_next_++ % sites_.size();

@@ -1,6 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "obs/trace.hpp"
 #include "rms/scheduler.hpp"
+#include "testing/property.hpp"
+#include "util/rng.hpp"
 
 namespace aequus::rms {
 namespace {
@@ -239,6 +249,286 @@ TEST(SchedulerModel, AssignsUniqueIds) {
   const JobId id2 = scheduler.submit(make_job("b", 1.0));
   EXPECT_NE(id1, id2);
   EXPECT_NE(id1, 0u);
+}
+
+TEST(SchedulerModel, FullTiesKeepTheOrderTheLastSweepLeft) {
+  // Two jobs with the same external id and submit time tie on every key
+  // once their priorities equalize. They then keep the order the last
+  // sweep that told them apart left them in (as a stable sort of the
+  // whole queue would), not their arrival order.
+  sim::Simulator simulator;
+  SchedulerConfig config;
+  config.reprioritize_interval = 1.0;
+  TestScheduler scheduler(simulator, Cluster("c", 1, 1), config);
+  std::vector<std::string> finished;
+  scheduler.add_completion_listener(
+      [&](const Job& job) { finished.push_back(job.system_user); });
+
+  scheduler.priorities = {{"a", 1.0}, {"b", 1.0}};
+  scheduler.submit(make_job("hog", 10.0));
+  Job first = make_job("a", 1.0);
+  first.id = 7;
+  Job second = make_job("b", 1.0);
+  second.id = 7;
+  scheduler.submit(std::move(first));
+  scheduler.submit(std::move(second));
+  simulator.schedule_at(1.5, [&] { scheduler.priorities["b"] = 2.0; });  // b overtakes a
+  simulator.schedule_at(3.5, [&] { scheduler.priorities["b"] = 1.0; });  // tie again
+
+  simulator.run_all();
+  ASSERT_EQ(finished.size(), 3u);
+  EXPECT_EQ(finished[1], "b");
+  EXPECT_EQ(finished[2], "a");
+}
+
+// --- differential test of the incremental pending queue --------------------
+//
+// SchedulerBase keeps its queue incrementally (DESIGN.md §6l). The rule it
+// must reproduce is written here the direct way: stable-sort the whole
+// queue on every pass, then try every job in order and requeue the ones
+// that do not start. Both run the same seeded stream of submits, priority
+// changes and forced sweeps; starts (time, id, user, priority) and the
+// order of every priority call must match exactly.
+
+struct StartRecord {
+  double time;
+  JobId id;
+  std::string user;
+  double priority;
+  bool operator==(const StartRecord&) const = default;
+};
+
+/// Per-user priorities the stream rewrites, with a log of every call.
+struct PriceTable {
+  std::map<std::string, double> priorities;
+  std::vector<std::pair<JobId, std::string>> calls;
+
+  double price(const Job& job) {
+    calls.emplace_back(job.id, job.system_user);
+    const auto it = priorities.find(job.system_user);
+    return it == priorities.end() ? 0.0 : it->second;
+  }
+};
+
+class PricedScheduler : public SchedulerBase {
+ public:
+  using SchedulerBase::SchedulerBase;
+  PriceTable table;
+
+ protected:
+  double compute_priority(const PriorityContext& context) override {
+    return table.price(context.job);
+  }
+};
+
+/// The reference: SchedulerBase's event structure with the whole-queue
+/// stable sort and requeue on every pass.
+class ReferenceScheduler {
+ public:
+  ReferenceScheduler(sim::Simulator& simulator, Cluster cluster, SchedulerConfig config)
+      : simulator_(simulator), cluster_(std::move(cluster)), config_(config) {}
+
+  PriceTable table;
+  std::vector<StartRecord> starts;
+
+  void submit(Job job) {
+    if (job.id == 0) job.id = next_id_++;
+    else next_id_ = std::max(next_id_, job.id + 1);
+    job.submit_time = simulator_.now();
+    job.priority = table.price(job);
+    pending_.push_back(std::move(job));
+    schedule_pass();
+    ensure_reprioritize_scheduled();
+  }
+
+  void reschedule() {
+    for (auto& job : pending_) job.priority = table.price(job);
+    schedule_pass();
+  }
+
+  [[nodiscard]] std::size_t pending_count() const { return pending_.size(); }
+
+ private:
+  void ensure_reprioritize_scheduled() {
+    if (reprioritize_scheduled_ || pending_.empty()) return;
+    reprioritize_scheduled_ = true;
+    reprioritize_handle_ = simulator_.schedule_after(config_.reprioritize_interval, [this] {
+      reprioritize_scheduled_ = false;
+      reschedule();
+      ensure_reprioritize_scheduled();
+    });
+  }
+
+  void schedule_pass() {
+    if (pending_.empty()) return;
+    std::stable_sort(pending_.begin(), pending_.end(), [](const Job& a, const Job& b) {
+      if (a.priority != b.priority) return a.priority > b.priority;
+      if (a.submit_time != b.submit_time) return a.submit_time < b.submit_time;
+      return a.id < b.id;
+    });
+    std::deque<Job> still_pending;
+    bool blocked = false;
+    while (!pending_.empty()) {
+      Job job = std::move(pending_.front());
+      pending_.pop_front();
+      if (blocked || !cluster_.can_allocate(job.cores)) {
+        if (!config_.backfill) blocked = true;
+        still_pending.push_back(std::move(job));
+        continue;
+      }
+      const double now = simulator_.now();
+      cluster_.allocate(job.cores, now);
+      starts.push_back({now, job.id, job.system_user, job.priority});
+      simulator_.schedule_at(now + job.duration, [this, cores = job.cores] {
+        cluster_.release(cores, simulator_.now());
+        schedule_pass();
+      });
+    }
+    pending_ = std::move(still_pending);
+    if (pending_.empty() && reprioritize_scheduled_) {
+      reprioritize_handle_.cancel();
+      reprioritize_scheduled_ = false;
+    }
+  }
+
+  sim::Simulator& simulator_;
+  Cluster cluster_;
+  SchedulerConfig config_;
+  std::deque<Job> pending_;
+  JobId next_id_ = 1;
+  bool reprioritize_scheduled_ = false;
+  sim::EventHandle reprioritize_handle_;
+};
+
+struct StreamOp {
+  enum Kind { kSubmit, kSetPriority, kNegateAll, kReschedule };
+  double at = 0.0;
+  Kind kind = kSubmit;
+  Job job{};
+  std::string user{};
+  double value = 0.0;
+};
+
+template <typename Scheduler>
+void schedule_stream(sim::Simulator& simulator, Scheduler& scheduler,
+                     const std::vector<StreamOp>& ops) {
+  for (const auto& op : ops) {
+    simulator.schedule_at(op.at, [&scheduler, &op] {
+      switch (op.kind) {
+        case StreamOp::kSubmit: scheduler.submit(op.job); break;
+        case StreamOp::kSetPriority: scheduler.table.priorities[op.user] = op.value; break;
+        case StreamOp::kNegateAll:
+          for (auto& entry : scheduler.table.priorities) entry.second = -entry.second;
+          break;
+        case StreamOp::kReschedule: scheduler.reschedule(); break;
+      }
+    });
+  }
+}
+
+/// A seeded stream built to hit every tie-break and the early exit:
+/// integer submit times (equal submit times), a small priority pool with
+/// both signs (equal priorities, reorderings), explicit ids colliding with
+/// each other and with assigned ones, 0-core jobs and jobs wider than the
+/// cluster, and enough work on a tiny cluster to build deep queues.
+std::vector<StreamOp> random_stream(util::Rng& rng, int total_cores,
+                                    std::map<std::string, double>& initial) {
+  static constexpr double kPool[] = {-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0};
+  const auto pick_priority = [&rng] { return kPool[rng.uniform_int(0, 6)]; };
+  const int users = static_cast<int>(rng.uniform_int(1, 5));
+  const auto pick_user = [&rng, users] {
+    return "u" + std::to_string(rng.uniform_int(0, users - 1));
+  };
+  for (int u = 0; u < users; ++u) initial["u" + std::to_string(u)] = pick_priority();
+
+  const int core_pool[] = {0, 1, 1, 1, 2, 3, total_cores, total_cores + 1};
+  std::vector<StreamOp> ops(static_cast<std::size_t>(rng.uniform_int(20, 150)));
+  for (auto& op : ops) {
+    op.at = static_cast<double>(rng.uniform_int(0, 40));
+    const auto roll = rng.uniform_int(0, 99);
+    if (roll < 70) {
+      op.kind = StreamOp::kSubmit;
+      op.job.system_user = pick_user();
+      op.job.cores = core_pool[rng.uniform_int(0, 7)];
+      op.job.duration = static_cast<double>(rng.uniform_int(0, 10));
+      if (rng.uniform_int(0, 9) < 3) op.job.id = static_cast<JobId>(rng.uniform_int(1, 6));
+    } else if (roll < 85) {
+      op.kind = StreamOp::kSetPriority;
+      op.user = pick_user();
+      op.value = pick_priority();
+    } else if (roll < 92) {
+      op.kind = StreamOp::kNegateAll;
+    } else {
+      op.kind = StreamOp::kReschedule;
+    }
+  }
+  return ops;
+}
+
+std::string describe(const StartRecord& start) {
+  return "t=" + std::to_string(start.time) + " id=" + std::to_string(start.id) + " " +
+         start.user + " p=" + std::to_string(start.priority);
+}
+
+void check_stream_against_reference(bool backfill, const std::vector<StreamOp>& ops,
+                                    const std::map<std::string, double>& initial,
+                                    int nodes, int cores_per_node, double interval) {
+  SchedulerConfig config;
+  config.backfill = backfill;
+  config.reprioritize_interval = interval;
+  // Wide jobs can stay queued for ever, so both runs stop at a horizon.
+  constexpr double kHorizon = 400.0;
+
+  sim::Simulator reference_sim;
+  ReferenceScheduler reference(reference_sim, Cluster("c", nodes, cores_per_node), config);
+  reference.table.priorities = initial;
+  schedule_stream(reference_sim, reference, ops);
+  reference_sim.run_until(kHorizon);
+
+  sim::Simulator simulator;
+  PricedScheduler scheduler(simulator, Cluster("c", nodes, cores_per_node), config);
+  scheduler.table.priorities = initial;
+  obs::Tracer tracer;
+  tracer.enable();
+  scheduler.attach_observability(obs::Observability{nullptr, &tracer}, "c");
+  schedule_stream(simulator, scheduler, ops);
+  simulator.run_until(kHorizon);
+
+  std::vector<StartRecord> starts;
+  for (const auto& event : tracer.events()) {
+    if (event.kind != obs::EventKind::kSchedulerDecision) continue;
+    starts.push_back({event.time, event.id, event.detail, event.value});
+  }
+  const std::string mode = backfill ? "backfill: " : "no backfill: ";
+  for (std::size_t i = 0; i < std::min(starts.size(), reference.starts.size()); ++i) {
+    testing::require(starts[i] == reference.starts[i],
+                     mode + "start #" + std::to_string(i) + " is " + describe(starts[i]) +
+                         ", reference " + describe(reference.starts[i]));
+  }
+  testing::require(starts.size() == reference.starts.size(),
+                   mode + std::to_string(starts.size()) + " starts, reference " +
+                       std::to_string(reference.starts.size()));
+  testing::require(scheduler.table.calls == reference.table.calls,
+                   mode + "priority calls diverged");
+  testing::require(scheduler.pending_count() == reference.pending_count(),
+                   mode + "pending counts diverged");
+}
+
+TEST(SchedulerDifferential, IncrementalQueueMatchesWholeQueueStableSort) {
+  // Replay one trial with AEQUUS_PROPERTY_SEED=<seed>.
+  const auto outcome = testing::run_property(
+      "incremental_queue_vs_stable_sort", 200, 0x5c4ed0e1ULL, [](std::uint64_t seed) {
+        util::Rng rng(seed);
+        const int nodes = static_cast<int>(rng.uniform_int(1, 3));
+        const int cores_per_node = static_cast<int>(rng.uniform_int(1, 2));
+        const double interval = static_cast<double>(rng.uniform_int(1, 6));
+        std::map<std::string, double> initial;
+        const auto ops = random_stream(rng, nodes * cores_per_node, initial);
+        for (const bool backfill : {false, true}) {
+          check_stream_against_reference(backfill, ops, initial, nodes, cores_per_node, interval);
+        }
+      });
+  EXPECT_TRUE(outcome.passed) << outcome.summary();
 }
 
 TEST(JobModel, UsageAndWaitTime) {
