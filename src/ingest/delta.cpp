@@ -1,25 +1,60 @@
 #include "ingest/delta.hpp"
 
 #include <cmath>
-#include <map>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
 namespace aequus::ingest {
 
+namespace {
+
+/// FNV-1a over the user name and the bin's bits. `bin + 0.0` folds -0.0
+/// into +0.0, which compare equal and must hash alike.
+std::uint64_t key_hash(const std::string& user, double bin) noexcept {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : user) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  std::uint64_t bits = 0;
+  const double normalized = bin + 0.0;
+  std::memcpy(&bits, &normalized, sizeof bits);
+  h ^= bits;
+  h *= 1099511628211ull;
+  return h ^ (h >> 29);
+}
+
+}  // namespace
+
 std::vector<UsageDelta> coalesce(const std::vector<UsageDelta>& deltas, double bin_width) {
   std::vector<UsageDelta> merged;
   merged.reserve(deltas.size());
-  // (user, bin) -> index into `merged`; first appearance fixes the order.
-  std::map<std::pair<std::string, double>, std::size_t> index;
+  std::vector<double> merged_bins;
+  merged_bins.reserve(deltas.size());
+  // Open-addressing (user, bin) -> index into `merged`, at most half
+  // full; first appearance fixes the order.
+  constexpr std::uint32_t kEmpty = 0xffffffffu;
+  std::size_t capacity = 16;
+  while (capacity < 2 * deltas.size()) capacity *= 2;
+  std::vector<std::uint32_t> index(capacity, kEmpty);
+  const std::size_t mask = capacity - 1;
   for (const UsageDelta& delta : deltas) {
-    const auto key = std::make_pair(delta.user, bin_of(delta.time, bin_width));
-    const auto it = index.find(key);
-    if (it == index.end()) {
-      index.emplace(key, merged.size());
-      merged.push_back(delta);
-    } else {
-      merged[it->second].amount += delta.amount;
+    const double bin = bin_of(delta.time, bin_width);
+    std::size_t slot = static_cast<std::size_t>(key_hash(delta.user, bin)) & mask;
+    while (true) {
+      const std::uint32_t at = index[slot];
+      if (at == kEmpty) {
+        index[slot] = static_cast<std::uint32_t>(merged.size());
+        merged.push_back(delta);
+        merged_bins.push_back(bin);
+        break;
+      }
+      if (merged_bins[at] == bin && merged[at].user == delta.user) {
+        merged[at].amount += delta.amount;
+        break;
+      }
+      slot = (slot + 1) & mask;
     }
   }
   return merged;

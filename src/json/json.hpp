@@ -58,6 +58,24 @@ class Value {
     return std::holds_alternative<std::shared_ptr<const Frozen>>(data_);
   }
 
+  /// Identity of a frozen value: a weak reference to its shared state,
+  /// empty when the value is not frozen. It does not keep the value
+  /// alive, and while it is held no other frozen value can take the
+  /// identity over, so same_frozen() is exact.
+  [[nodiscard]] std::weak_ptr<const Frozen> frozen_identity() const noexcept {
+    const auto* frozen = std::get_if<std::shared_ptr<const Frozen>>(&data_);
+    return frozen != nullptr ? std::weak_ptr<const Frozen>(*frozen)
+                             : std::weak_ptr<const Frozen>();
+  }
+
+  /// True when this value is the frozen value `identity` was taken from
+  /// (or a copy of it). O(1): compares the shared state, not the contents.
+  [[nodiscard]] bool same_frozen(const std::weak_ptr<const Frozen>& identity) const noexcept {
+    const auto* frozen = std::get_if<std::shared_ptr<const Frozen>>(&data_);
+    return frozen != nullptr && !frozen->owner_before(identity) &&
+           !identity.owner_before(*frozen);
+  }
+
   [[nodiscard]] bool is_null() const noexcept { return holds<std::nullptr_t>(); }
   [[nodiscard]] bool is_bool() const noexcept { return holds<bool>(); }
   [[nodiscard]] bool is_number() const noexcept { return holds<double>(); }

@@ -9,7 +9,12 @@ namespace aequus::client {
 
 AequusClient::AequusClient(sim::Simulator& simulator, net::ServiceBus& bus, ClientConfig config,
                            obs::Observability obs)
-    : simulator_(simulator), bus_(bus), config_(std::move(config)), obs_(obs) {
+    : simulator_(simulator),
+      bus_(bus),
+      config_(std::move(config)),
+      fcs_address_(config_.site + ".fcs"),
+      table_request_(json::Value::frozen(json::Object{{"op", json::Value("table")}})),
+      obs_(obs) {
   if (obs_.registry != nullptr) {
     const std::string prefix = config_.site + ".client.";
     metrics_.fairshare_lookups = &obs_.registry->counter(prefix + "fairshare_lookups");
@@ -82,6 +87,11 @@ void AequusClient::refresh_fairshare_table() {
 void AequusClient::start_refresh(int attempt) {
   const std::uint64_t generation = ++refresh_generation_;
   const double sent_at = simulator_.now();
+  // Only the attempt of the current generation reads these, so the
+  // continuations below capture no more than [this, generation] and fit
+  // std::function's inline buffer.
+  refresh_attempt_ = attempt;
+  refresh_sent_at_ = sent_at;
   if (tracing()) {
     attempt_span_ = obs_.tracer->begin_child(sent_at, refresh_span_, config_.site, "client",
                                              "attempt:" + std::to_string(attempt));
@@ -91,18 +101,16 @@ void AequusClient::start_refresh(int attempt) {
   obs::SpanScope span_scope(obs_.tracer, attempt_span_);
   if (config_.request_timeout > 0.0) {
     timeout_task_ = simulator_.schedule_after(
-        config_.request_timeout, [this, generation, attempt] {
+        config_.request_timeout, [this, generation] {
           if (generation != refresh_generation_) return;
           ++stats_.refresh_timeouts;
           obs::bump(metrics_.refresh_timeouts);
-          refresh_attempt_failed(attempt);
+          refresh_attempt_failed(refresh_attempt_);
         });
   }
-  json::Object request;
-  request["op"] = "table";
   bus_.request(
-      config_.site, config_.site + ".fcs", json::Value(std::move(request)),
-      [this, generation, sent_at](const json::Value& reply) {
+      config_.site, fcs_address_, table_request_,
+      [this, generation](const json::Value& reply) {
         if (generation != refresh_generation_) return;  // superseded or timed out
         timeout_task_.cancel();
         ++refresh_generation_;  // retire this attempt (duplicates become stale)
@@ -119,21 +127,21 @@ void AequusClient::start_refresh(int attempt) {
           ++stats_.fairshare_refreshes;
           obs::bump(metrics_.fairshare_refreshes);
           last_refresh_time_ = simulator_.now();
-          const double elapsed = simulator_.now() - sent_at;
+          const double elapsed = simulator_.now() - refresh_sent_at_;
           end_client_span(attempt_span_, "ok", elapsed);
           end_client_span(refresh_span_, "ok", elapsed);
         } catch (const std::exception& e) {
           AEQ_WARN("libaequus") << "bad fairshare table reply: " << e.what();
         }
       },
-      [this, generation, attempt](const json::Value& error) {
+      [this, generation](const json::Value& error) {
         if (generation != refresh_generation_) return;
         timeout_task_.cancel();
         ++stats_.refresh_errors;
         obs::bump(metrics_.refresh_errors);
         AEQ_DEBUG("libaequus") << config_.site << ": fairshare refresh bounced: "
                                << error.get_string("error", "unknown");
-        refresh_attempt_failed(attempt);
+        refresh_attempt_failed(refresh_attempt_);
       });
 }
 

@@ -160,6 +160,8 @@ class AequusClient {
   sim::Simulator& simulator_;
   net::ServiceBus& bus_;
   ClientConfig config_;
+  std::string fcs_address_;
+  json::Value table_request_;  ///< frozen {"op":"table"}, sent by every attempt
   obs::Observability obs_;
   Metrics metrics_;
   std::map<std::string, double> fairshare_table_;
@@ -181,6 +183,8 @@ class AequusClient {
   /// Identifies the outstanding refresh attempt; replies and timeouts
   /// carrying another generation are stale and ignored.
   std::uint64_t refresh_generation_ = 0;
+  int refresh_attempt_ = 0;        ///< attempt number of refresh_generation_
+  double refresh_sent_at_ = 0.0;   ///< when that attempt was sent
   double last_refresh_time_ = -1.0;
   /// Causal spans for the current refresh cycle: one "refresh" root per
   /// cycle with one "attempt:<n>" child per try, so retry storms and

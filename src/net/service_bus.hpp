@@ -14,7 +14,9 @@
 // jitter, and scheduled site outage windows during which every message leg
 // touching the site (including intra-site traffic — the site is down, not
 // merely partitioned) is dropped. All randomness is drawn from one seeded
-// stream, so a faulty run replays bit-identically from its seed.
+// stream, so a faulty run replays bit-identically from its seed. Per leg
+// the draws come in a fixed order: loss, duplicate, latency jitter, then
+// the duplicate's jitter.
 //
 // The destination handler is resolved when a message *arrives*, not when
 // it is sent: unbinding an address while traffic is in flight counts the
@@ -22,6 +24,22 @@
 // envelope), and re-binding routes in-flight traffic to the new handler —
 // matching a real transport, where the sender cannot pin the remote
 // implementation it observed at send time.
+//
+// The message path allocates nothing per message (DESIGN.md §6m):
+//  - Every address and site is interned once into a record that is never
+//    erased: an endpoint holds its handler (empty while unbound), its
+//    rpc.<address>.* metrics and its site id; a site holds its
+//    participation flags. A request or send costs one hash lookup of its
+//    address and one of its sender's site.
+//  - A request's state (payload, continuations, spans, send time) lives in
+//    a slot of an RPC table, and a reply or one-way message in a slot of a
+//    parcel table. Both are deques, so a handler or continuation that
+//    issues requests re-entrantly never moves a slot another frame holds,
+//    and both recycle slots through free lists. Duplicated legs share a
+//    slot through its reference count.
+//  - Leg events capture only [this, slot], which fits std::function's
+//    inline buffer, and are posted fire-and-forget.
+//  - Drop and trace labels are built only while tracing.
 //
 // Traffic counters are backed by an obs::Registry (the bus owns a private
 // one until an experiment attaches its own via attach_observability);
@@ -32,6 +50,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <string>
@@ -39,6 +58,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/id_table.hpp"
 #include "json/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -241,6 +261,12 @@ class ServiceBus {
   /// Counter façade assembled from the metrics registry.
   [[nodiscard]] BusStats stats() const noexcept;
 
+  /// Requests and messages whose legs are still scheduled: the RPC and
+  /// parcel slots in use. 0 once every leg has landed or been dropped.
+  [[nodiscard]] std::size_t in_flight() const noexcept {
+    return (rpcs_.size() - free_rpcs_.size()) + (parcels_.size() - free_parcels_.size());
+  }
+
   /// Site prefix of an address ("siteA.uss" -> "siteA").
   [[nodiscard]] static std::string site_of(std::string_view address);
 
@@ -263,64 +289,128 @@ class ServiceBus {
     obs::Counter* batches = nullptr;
     obs::Counter* batch_records = nullptr;
   };
-  /// Per-endpoint RPC metrics ("rpc.<address>.*"), registered on first
-  /// bind/request of the address.
-  struct EndpointMetrics {
+  /// One interned address. Never erased: unbind() only clears `handler`.
+  struct Endpoint {
+    std::string address;
+    std::string service;  ///< service_of(address), the handle span's component
+    std::uint32_t site = 0;
+    Handler handler;  ///< empty while unbound
+    /// "rpc.<address>.*", registered on the first bind or request (null
+    /// before, so one-way-only addresses register nothing).
     obs::Counter* requests = nullptr;
     obs::Histogram* latency = nullptr;
   };
+  /// One interned site and its participation flags.
+  struct Site {
+    std::string name;
+    bool contributes = true;
+    bool receives = true;
+  };
+  /// A request from send until its last leg or bounce lands. `refs`
+  /// counts the scheduled events and reply parcels that hold the slot.
+  struct Rpc {
+    std::uint32_t endpoint = 0;
+    std::uint32_t from = 0;  ///< requester site
+    std::uint32_t refs = 0;
+    double sent_at = 0.0;
+    obs::SpanContext span;    ///< the rpc span
+    obs::SpanContext caller;  ///< span ambient at the call site
+    obs::SpanContext leg;     ///< the query leg span
+    json::Value payload;
+    ReplyCallback on_reply;
+    ErrorCallback on_error;
+  };
+  static constexpr std::uint32_t kNoRpc = 0xffffffffu;
+  /// A reply (rpc != kNoRpc) or one-way message on its leg. `refs`
+  /// counts its scheduled arrivals (2 when duplicated).
+  struct Parcel {
+    std::uint32_t endpoint = 0;
+    std::uint32_t rpc = kNoRpc;
+    std::uint32_t refs = 0;
+    obs::SpanContext span;  ///< one-way: the send span
+    obs::SpanContext leg;   ///< the leg span
+    json::Value body;
+  };
+  /// Transport outcome of one leg. Latencies are relative to now().
+  struct Delivery {
+    SendVerdict verdict = SendVerdict::kDelivered;
+    double latency = 0.0;      ///< primary arrival delay (0 when dropped)
+    double dup_latency = 0.0;  ///< second arrival delay; 0 unless duplicated
+    bool duplicated = false;
+    [[nodiscard]] bool delivered() const noexcept {
+      return verdict == SendVerdict::kDelivered;
+    }
+    [[nodiscard]] std::uint32_t arrivals() const noexcept {
+      return delivered() ? (duplicated ? 2u : 1u) : 0u;
+    }
+  };
 
   void register_metrics();
-  [[nodiscard]] EndpointMetrics& endpoint_metrics(const std::string& address);
+  void register_endpoint_metrics(Endpoint& endpoint);
+  /// Id of the record for `address` / `site`, interned on first sight.
+  [[nodiscard]] std::uint32_t endpoint_id(std::string_view address);
+  [[nodiscard]] std::uint32_t site_id(std::string_view site);
+  [[nodiscard]] const Endpoint* find_endpoint(const std::string& address) const;
+  [[nodiscard]] const Site* find_site(const std::string& site) const;
+  [[nodiscard]] const std::string& site_name(std::uint32_t site) const noexcept {
+    return sites_[site].name;
+  }
   [[nodiscard]] bool tracing() const noexcept {
     return tracer_ != nullptr && tracer_->enabled();
   }
   void trace(obs::EventKind kind, const std::string& site, const std::string& component,
              std::string detail = {}, double value = 0.0, std::uint64_t id = 0);
   /// Record a drop event under `leg` and close the leg span ("dropped").
-  void drop_leg(const obs::SpanContext& leg, const std::string& site, std::string reason);
-  /// Count an unbound arrival and, for requests, bounce the error
-  /// envelope back over the return leg. Closes `rpc_span` ("unbound")
-  /// when the bounce is delivered; leaves it open otherwise (the caller
-  /// can only detect the loss by timeout — a broken chain).
-  void bounce_unbound(const std::string& address, const std::string& from_site,
-                      const std::string& to_site, ErrorCallback on_error,
-                      const obs::SpanContext& rpc_span, const obs::SpanContext& caller);
+  /// Call only while tracing.
+  void trace_drop(const obs::SpanContext& leg, const std::string& site, std::string reason);
 
-  [[nodiscard]] bool allowed(const std::string& from_site, const std::string& to_site) const;
-  [[nodiscard]] double latency(const std::string& from_site, const std::string& to_site) const;
-  /// True when an inter-site leg should be dropped by failure injection.
-  [[nodiscard]] bool lose(const std::string& from_site, const std::string& to_site);
-  /// True when either endpoint site is inside an outage window now.
-  [[nodiscard]] bool outage(const std::string& from_site, const std::string& to_site);
-  /// True when a delivered inter-site leg should also be duplicated.
-  [[nodiscard]] bool duplicate(const std::string& from_site, const std::string& to_site);
+  [[nodiscard]] bool allowed(std::uint32_t from, std::uint32_t to) const noexcept;
+  [[nodiscard]] double latency(std::uint32_t from, std::uint32_t to) const noexcept {
+    return from == to ? local_latency_ : remote_latency_;
+  }
   /// Per-leg latency including jitter (consumes randomness when jitter on).
-  [[nodiscard]] double leg_latency(const std::string& from_site, const std::string& to_site);
-  /// Transport outcome of one leg, reported by deliver() so send paths can
-  /// surface it to an attached BusTap. Latencies are relative to now().
-  struct Delivery {
-    bool delivered = false;
-    SendVerdict verdict = SendVerdict::kDelivered;
-    double latency = 0.0;      ///< primary arrival delay (0 when dropped)
-    double dup_latency = 0.0;  ///< second arrival delay; 0 unless duplicated
-    bool duplicated = false;
-  };
-  /// Deliver `action` over one leg, applying outage/loss/duplication/jitter.
-  /// `what` labels the leg in trace output; `leg` is the leg's span (the
-  /// invalid context when tracing is off), closed on arrival or drop.
-  Delivery deliver(const std::string& from_site, const std::string& to_site,
-                   const std::string& what, const obs::SpanContext& leg,
-                   std::function<void()> action);
+  [[nodiscard]] double leg_latency(std::uint32_t from, std::uint32_t to);
+  /// Decide one leg's fate (outage, loss, duplication, jitter) and count
+  /// its drops; the caller posts one event per arrival. `reply` marks a
+  /// reply leg in drop labels.
+  Delivery route(std::uint32_t from, std::uint32_t to, const Endpoint& endpoint, bool reply,
+                 const obs::SpanContext& leg);
+  /// Post one [this, slot] event per arrival of `outcome`.
+  template <typename Land>
+  void post_arrivals(const Delivery& outcome, Land land);
+
+  [[nodiscard]] std::uint32_t acquire_rpc();
+  [[nodiscard]] std::uint32_t acquire_parcel();
+  /// Free the slot when nothing holds it any more.
+  void release_rpc_if_idle(std::uint32_t rpc);
+  void release_parcel_if_idle(std::uint32_t parcel);
+  void unref_rpc(std::uint32_t rpc);
+  void unref_parcel(std::uint32_t parcel);
+
+  /// Count an unbound arrival and, for requests with an error callback,
+  /// post the error envelope back over the return leg. The rpc span is
+  /// closed ("unbound") when the bounce lands; without an error callback
+  /// it stays open (the caller can only detect the loss by timeout — a
+  /// broken chain).
+  void bounce_unbound(std::uint32_t rpc);
+  void land_query(std::uint32_t rpc);
+  void land_bounce(std::uint32_t rpc);
+  void land_reply(std::uint32_t parcel);
+  void land_message(std::uint32_t parcel);
   /// Shared body of send()/send_batch(): batch metadata rides along so the
   /// tap observes one coherent record per envelope.
   void send_impl(const std::string& from_site, const std::string& address, json::Value payload,
                  std::size_t record_count, bool batch);
 
   sim::Simulator& simulator_;
-  std::map<std::string, Handler> endpoints_;
-  std::map<std::string, bool> contributes_;
-  std::map<std::string, bool> receives_;
+  core::IdTable endpoint_ids_;
+  std::deque<Endpoint> endpoints_;
+  core::IdTable site_ids_;
+  std::deque<Site> sites_;
+  std::deque<Rpc> rpcs_;
+  std::vector<std::uint32_t> free_rpcs_;
+  std::deque<Parcel> parcels_;
+  std::vector<std::uint32_t> free_parcels_;
   double local_latency_ = 0.01;
   double remote_latency_ = 0.10;
   FaultPlan plan_;
@@ -330,7 +420,6 @@ class ServiceBus {
   obs::Tracer* tracer_ = nullptr;
   BusTap* tap_ = nullptr;
   Metrics metrics_;
-  std::map<std::string, EndpointMetrics> endpoint_metrics_;
 };
 
 }  // namespace aequus::net

@@ -165,8 +165,8 @@ void SchedulerBase::start_job(Job job) {
   }
   AEQ_TRACE("rms") << cluster_.name() << " start job " << job.id << " user "
                    << job.system_user;
-  simulator_.schedule_at(job.end_time,
-                         [this, job = std::move(job)]() mutable { finish_job(std::move(job)); });
+  simulator_.post_at(job.end_time,
+                     [this, job = std::move(job)]() mutable { finish_job(std::move(job)); });
 }
 
 void SchedulerBase::finish_job(Job job) {

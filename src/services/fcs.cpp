@@ -10,11 +10,16 @@ Fcs::Fcs(sim::Simulator& simulator, net::ServiceBus& bus, std::string site, FcsC
       bus_(bus),
       site_(std::move(site)),
       address_(site_ + ".fcs"),
+      pds_address_(site_ + ".pds"),
+      ums_address_(site_ + ".ums"),
+      policy_request_(json::Value::frozen(json::Object{{"op", json::Value("policy")}})),
+      usage_request_(json::Value::frozen(json::Object{{"op", json::Value("usage")}})),
       config_(config),
       telemetry_(obs, simulator, site_, "fcs",
                  {"fairshare", "table", "tree", "snapshot", "configure", "report_batch"}),
       recalculations_(telemetry_.counter("recalculations")),
       backend_(core::make_fairness_backend(config.backend, config.algorithm)) {
+  rebuild_table_reply();
   ingest_sink_ = std::make_unique<ingest::EngineSink>(*backend_, [this](const std::string& user) {
     const auto it = ingest_paths_.find(user);
     return it != ingest_paths_.end() ? it->second : "/" + user;
@@ -47,9 +52,7 @@ void Fcs::update_now() {
   const std::uint64_t cycle = update_cycles_;
   update_pending_ = 2;  // policy reply + usage reply
 
-  json::Object policy_request;
-  policy_request["op"] = "policy";
-  bus_.request(site_, site_ + ".pds", json::Value(std::move(policy_request)),
+  bus_.request(site_, pds_address_, policy_request_,
                [this, cycle](const json::Value& reply) {
                  try {
                    // The PDS serves a shared frozen reply: an unchanged
@@ -66,9 +69,7 @@ void Fcs::update_now() {
                  }
                  update_reply_done(cycle);
                });
-  json::Object usage_request;
-  usage_request["op"] = "usage";
-  bus_.request(site_, site_ + ".ums", json::Value(std::move(usage_request)),
+  bus_.request(site_, ums_address_, usage_request_,
                [this, cycle](const json::Value& reply) {
                  try {
                    usage_ = core::UsageTree::from_json(reply);
@@ -109,11 +110,22 @@ void Fcs::republish(const core::FairshareSnapshotPtr& base) {
     }
     snapshot_ = core::FairshareSnapshot::with_factors(base, table_, user_table_);
     reproject_ = false;
+    rebuild_table_reply();
   }
   ++calculations_;
   bump(recalculations_);
   telemetry_.trace(obs::EventKind::kUsageUpdateApplied, "recalculate",
                    static_cast<double>(table_.size()));
+}
+
+json::Value Fcs::users_json() const {
+  json::Object users;
+  for (const auto& [user, value] : user_table_) users[user] = value;
+  return json::Value(std::move(users));
+}
+
+void Fcs::rebuild_table_reply() {
+  table_reply_ = json::Value::frozen(json::Object{{"users", users_json()}});
 }
 
 void Fcs::refresh_ingest_paths() {
@@ -181,16 +193,10 @@ json::Value Fcs::handle(const json::Value& request) {
         reply["unchanged"] = true;
         return json::Value(std::move(reply));
       }
-      json::Object users;
-      for (const auto& [user, value] : user_table_) users[user] = value;
-      reply["users"] = std::move(users);
+      reply["users"] = users_json();
       return json::Value(std::move(reply));
     }
-    json::Object users;
-    for (const auto& [user, value] : user_table_) users[user] = value;
-    json::Object reply;
-    reply["users"] = std::move(users);
-    return json::Value(std::move(reply));
+    return table_reply_;
   }
   if (op == "snapshot") {
     if (snapshot_ == nullptr) return core::FairshareSnapshot{}.to_json(false);

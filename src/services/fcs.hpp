@@ -17,6 +17,8 @@
 // Bus protocol (address "<site>.fcs"):
 //   {"op":"fairshare", "user":<grid id>} -> {"value":f, "vector":"...."}
 //   {"op":"table"} -> {"users": {"<user>": value, ...}}
+//       served as one frozen reply, rebuilt in republish() when the
+//       factors change, so a poll of an unchanged table copies a pointer
 //   {"op":"table", "if_generation":g} -> {"generation":g, "unchanged":true}
 //       when nothing changed since generation g, else
 //       {"generation":g', "users":{...}} (opt-in extension; the plain
@@ -120,6 +122,10 @@ class Fcs {
   /// Project + publish from a freshly published engine snapshot (shared
   /// by the poll-driven recalculate() and the push-driven batch commit).
   void republish(const core::FairshareSnapshotPtr& base);
+  /// {"<user>": factor, ...} from user_table_.
+  [[nodiscard]] json::Value users_json() const;
+  /// Refreeze the plain "table" reply from user_table_.
+  void rebuild_table_reply();
   /// Rebuild the grid-user -> policy-leaf-path map the ingest seam
   /// resolves through (called whenever a changed policy lands).
   void refresh_ingest_paths();
@@ -131,6 +137,10 @@ class Fcs {
   net::ServiceBus& bus_;
   std::string site_;
   std::string address_;
+  std::string pds_address_;
+  std::string ums_address_;
+  json::Value policy_request_;  ///< frozen {"op":"policy"}
+  json::Value usage_request_;   ///< frozen {"op":"usage"}
   FcsConfig config_;
   ServiceTelemetry telemetry_;
   obs::Counter* recalculations_ = nullptr;
@@ -144,6 +154,7 @@ class Fcs {
   core::FairshareSnapshotPtr snapshot_;        ///< latest tree + factors
   std::map<std::string, double> table_;        ///< leaf path -> factor
   std::map<std::string, double> user_table_;   ///< leaf name -> factor
+  json::Value table_reply_;  ///< frozen {"users": user_table_}
   std::map<std::string, std::string> ingest_paths_;  ///< user -> policy leaf path
   std::unique_ptr<ingest::EngineSink> ingest_sink_;  ///< idempotent batch commits
   std::uint64_t calculations_ = 0;

@@ -10,10 +10,14 @@ Ums::Ums(sim::Simulator& simulator, net::ServiceBus& bus, std::string site, UmsC
       bus_(bus),
       site_(std::move(site)),
       address_(site_ + ".ums"),
+      pds_address_(site_ + ".pds"),
+      policy_request_(json::Value::frozen(json::Object{{"op", json::Value("policy")}})),
+      histograms_request_(json::Value::frozen(json::Object{{"op", json::Value("histograms")}})),
       config_(config),
       telemetry_(obs, simulator, site_, "ums", {"usage"}),
       rebuilds_(telemetry_.counter("rebuilds")),
       decay_(config.decay) {
+  refresh_targets();
   bus_.bind(address_, [this](const json::Value& request) { return handle(request); });
   poll_task_ = simulator_.schedule_periodic(config_.update_interval, config_.update_interval,
                                             [this] { update_now(); });
@@ -26,10 +30,32 @@ Ums::~Ums() {
 
 void Ums::set_peers(std::vector<std::string> uss_addresses) {
   peers_ = std::move(uss_addresses);
+  refresh_targets();
 }
 
-void Ums::poll_reply_done(std::uint64_t cycle) {
-  if (cycle != polls_ || poll_pending_ == 0) return;  // superseded (or duplicate)
+void Ums::refresh_targets() {
+  // Poll the local USS plus (optionally) remote peers.
+  targets_.clear();
+  const std::string local = site_ + ".uss";
+  targets_.push_back(source_id(local));
+  if (!config_.read_remote) return;
+  for (const auto& peer : peers_) {
+    if (peer != local) targets_.push_back(source_id(peer));
+  }
+}
+
+std::uint32_t Ums::source_id(const std::string& address) {
+  const auto [it, added] = sources_.try_emplace(address);
+  if (added) {
+    it->second.id = static_cast<std::uint32_t>(source_at_.size());
+    source_at_.push_back(it);
+  }
+  return it->second.id;
+}
+
+void Ums::poll_reply_done(std::uint32_t cycle) {
+  // superseded (or duplicate)
+  if (cycle != static_cast<std::uint32_t>(polls_) || poll_pending_ == 0) return;
   if (--poll_pending_ == 0) {
     telemetry_.end_span(poll_span_, "complete");
     poll_span_ = obs::SpanContext{};
@@ -43,21 +69,11 @@ void Ums::update_now() {
   }
   poll_span_ = telemetry_.begin_span("update");
   obs::SpanScope span_scope(telemetry_.tracer(), poll_span_);
-  const std::uint64_t cycle = polls_;
-
-  // Poll the local USS plus (optionally) remote peers.
-  std::vector<std::string> targets = {site_ + ".uss"};
-  if (config_.read_remote) {
-    for (const auto& peer : peers_) {
-      if (peer != targets.front()) targets.push_back(peer);
-    }
-  }
-  poll_pending_ = 1 + targets.size();  // policy reply + one per target
+  const auto cycle = static_cast<std::uint32_t>(polls_);
+  poll_pending_ = 1 + targets_.size();  // policy reply + one per target
 
   // Refresh the site policy (user -> leaf path mapping).
-  json::Object policy_request;
-  policy_request["op"] = "policy";
-  bus_.request(site_, site_ + ".pds", json::Value(std::move(policy_request)),
+  bus_.request(site_, pds_address_, policy_request_,
                [this, cycle](const json::Value& reply) {
                  try {
                    if (reply != policy_reply_) {
@@ -71,12 +87,10 @@ void Ums::update_now() {
                  poll_reply_done(cycle);
                });
 
-  for (const auto& target : targets) {
-    json::Object request;
-    request["op"] = "histograms";
-    bus_.request(site_, target, json::Value(std::move(request)),
-                 [this, cycle, target](const json::Value& reply) {
-                   ingest(target, reply);
+  for (const std::uint32_t id : targets_) {
+    bus_.request(site_, source_at_[id]->first, histograms_request_,
+                 [this, cycle, id](const json::Value& reply) {
+                   ingest(source_at_[id]->second, source_at_[id]->first, reply);
                    mark_dirty();
                    poll_reply_done(cycle);
                  });
@@ -110,21 +124,23 @@ bool same_bins(const json::Value& users,
 }
 }  // namespace
 
-void Ums::ingest(const std::string& source, const json::Value& histograms) {
+void Ums::ingest(Source& source, const std::string& address, const json::Value& histograms) {
+  if (histograms.same_frozen(source.reply)) return;
   try {
     const json::Value& users = histograms.at("users");
-    const auto stored = sources_.find(source);
-    if (stored != sources_.end() && same_bins(users, stored->second)) return;
-    UserBins decoded;
-    for (const auto& [user, bins] : users.as_object()) {
-      Bins& entries = decoded[user];
-      for (const auto& bin : bins.as_array()) {
-        entries.emplace_back(bin.at(0).as_number(), bin.at(1).as_number());
+    if (!same_bins(users, source.bins)) {
+      UserBins decoded;
+      for (const auto& [user, bins] : users.as_object()) {
+        Bins& entries = decoded[user];
+        for (const auto& bin : bins.as_array()) {
+          entries.emplace_back(bin.at(0).as_number(), bin.at(1).as_number());
+        }
       }
+      source.bins = std::move(decoded);
     }
-    sources_[source] = std::move(decoded);
+    source.reply = histograms.frozen_identity();
   } catch (const std::exception& e) {
-    AEQ_WARN("ums") << site_ << ": bad histogram reply from " << source << ": " << e.what();
+    AEQ_WARN("ums") << site_ << ": bad histogram reply from " << address << ": " << e.what();
   }
 }
 
@@ -150,9 +166,9 @@ void Ums::materialize() {
   // Map grid users to policy leaf paths; users missing from the policy are
   // accounted directly under the root.
   core::UsageTree tree;
-  for (const auto& [source, per_user] : sources_) {
-    (void)source;
-    for (const auto& [user, bins] : per_user) {
+  for (const auto& [address, source] : sources_) {
+    (void)address;
+    for (const auto& [user, bins] : source.bins) {
       const double amount = decay_.decayed_total(bins, dirty_at_);
       if (amount <= 0.0) continue;
       const auto it = path_of_.find(user);

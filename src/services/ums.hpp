@@ -11,13 +11,19 @@
 // and bin amounts are weighted by the configured decay function.
 //
 // Poll work follows change, not poll count:
-//  - A histogram reply equal to the bins already stored for its source is
-//    not decoded again; a changed one is decoded into a local map and
-//    swapped in only when the whole reply decoded (decode-then-commit: a
-//    malformed reply leaves the source as it was).
+//  - A histogram reply that is the same frozen object as the last one
+//    committed for its source (the USS serves one shared reply until its
+//    data changes) is skipped in O(1): the UMS keeps only a weak identity
+//    of that reply, so superseded replies are not kept alive. A reply
+//    equal to the stored bins is not decoded again either; a changed one
+//    is decoded into a local map and swapped in only when the whole reply
+//    decoded (decode-then-commit: a malformed reply leaves the source as
+//    it was).
 //  - A policy reply equal to the last one applied (the PDS serves a
 //    shared frozen reply, so this is usually a pointer compare) does not
 //    rebuild the leaf-name map.
+//  - The request payloads and addresses are built once per instance, and
+//    the poll targets once per set_peers(), not once per poll.
 //  - Each reply only marks the tree dirty at the current time. The tree
 //    is materialized on the next read — usage_tree() or the "usage" op —
 //    with decay evaluated at the last reply's time, which gives exactly
@@ -36,6 +42,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -80,30 +87,54 @@ class Ums {
  private:
   using Bins = std::vector<std::pair<double, double>>;
   using UserBins = std::map<std::string, Bins>;
+  /// What the UMS holds for one polled USS address.
+  struct Source {
+    UserBins bins;  ///< user -> (bin time, amount) pairs
+    /// The last reply committed to `bins`; a reply that is this same
+    /// frozen object is skipped without a look at its contents.
+    std::weak_ptr<const json::Frozen> reply;
+    std::uint32_t id = 0;  ///< index in source_at_
+  };
+  using Sources = std::map<std::string, Source>;
 
   json::Value handle(const json::Value& request);
-  void ingest(const std::string& source, const json::Value& histograms);
+  void ingest(Source& source, const std::string& address, const json::Value& histograms);
+  /// Rebuild targets_ from the local USS, peers_ and read_remote.
+  void refresh_targets();
+  /// Id of the source for `address`, added on first sight.
+  [[nodiscard]] std::uint32_t source_id(const std::string& address);
   /// Rebuild path_of_ from a freshly fetched site policy.
   void set_policy(const core::PolicyTree& policy);
   /// A reply landed: the tree is stale as of now.
   void mark_dirty();
   /// Rebuild tree_ from sources_ and path_of_, decayed at dirty_at_.
   void materialize();
-  /// Count one reply of poll cycle `cycle`; closes the cycle's span when
-  /// the last expected reply (or its duplicate-filtered first copy) lands.
-  void poll_reply_done(std::uint64_t cycle);
+  /// Count one reply of poll cycle `cycle` (the low 32 bits of polls_, so
+  /// the reply continuation fits std::function's inline buffer); closes
+  /// the cycle's span when the last expected reply (or its
+  /// duplicate-filtered first copy) lands.
+  void poll_reply_done(std::uint32_t cycle);
 
   sim::Simulator& simulator_;
   net::ServiceBus& bus_;
   std::string site_;
   std::string address_;
+  std::string pds_address_;
+  json::Value policy_request_;      ///< frozen {"op":"policy"}
+  json::Value histograms_request_;  ///< frozen {"op":"histograms"}
   UmsConfig config_;
   ServiceTelemetry telemetry_;
   obs::Counter* rebuilds_ = nullptr;
   core::Decay decay_;
   std::vector<std::string> peers_;
-  /// source USS address -> user -> (bin time, amount) pairs
-  std::map<std::string, UserBins> sources_;
+  /// source USS address -> its bins. Entries are never erased, so the
+  /// iterators in source_at_ stay valid, and a reply in flight across a
+  /// set_peers() still lands on its own source.
+  Sources sources_;
+  std::vector<Sources::iterator> source_at_;  ///< source id -> entry
+  /// Ids of the sources polled each cycle: the local USS first, then the
+  /// remote peers when read_remote is set.
+  std::vector<std::uint32_t> targets_;
   /// Grid user (leaf name) -> policy leaf path, rebuilt when a policy
   /// reply differs from policy_reply_; empty until the first policy.
   std::map<std::string, std::string> path_of_;

@@ -7,7 +7,17 @@
 // is a single-threaded, perfectly reproducible event program.
 //
 // Ordering guarantee: events fire in (time, insertion sequence) order, so
-// two events at the same timestamp run in the order they were scheduled.
+// two events at the same timestamp run in the order they were scheduled,
+// whichever schedule_* or post_* call inserted them.
+//
+// Storage (DESIGN.md §6m): the heap holds only trivially copyable
+// {at, sequence, slot} keys, so a sift moves 24 bytes, never a closure.
+// Each event's action, its optional cancel flag and its period live in a
+// slot pool; a slot returns to a free list when its event fires or is
+// popped cancelled, and the next event reuses it. post_at/post_after
+// events carry no cancel flag and so allocate nothing beyond what their
+// closure needs (nothing, for a closure that fits std::function's inline
+// buffer); schedule_* events allocate their shared EventHandle flag.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +32,8 @@ namespace aequus::sim {
 using Time = double;
 
 /// Cancellation token for scheduled events. Destroying the handle does not
-/// cancel; call cancel() explicitly.
+/// cancel; call cancel() explicitly. Cancelling after the event fired is a
+/// no-op.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -61,6 +72,13 @@ class Simulator {
   /// the simulation ends. Requires period > 0.
   EventHandle schedule_periodic(Time first_at, Time period, std::function<void()> action);
 
+  /// Fire-and-forget schedule_at: same ordering, no cancel handle, so no
+  /// allocation for the token.
+  void post_at(Time at, std::function<void()> action);
+
+  /// Fire-and-forget schedule_after.
+  void post_after(Time delay, std::function<void()> action);
+
   /// Execute the next pending event. Returns false when the queue is empty.
   bool step();
 
@@ -72,37 +90,52 @@ class Simulator {
   /// Run until the event queue drains completely.
   void run_all();
 
-  [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
+  /// Queued events, cancelled ones included until they are popped.
+  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
+  /// Event slots allocated so far: the high-water mark of queued events,
+  /// since a fired or cancelled event's slot is reused.
+  [[nodiscard]] std::size_t slot_count() const noexcept { return slots_.size(); }
 
  private:
-  struct Event {
+  /// Heap entry. (at, sequence) is a total order, so the firing order is
+  /// fully determined; `slot` indexes slots_.
+  struct Key {
     Time at = 0;
     std::uint64_t sequence = 0;
-    std::function<void()> action;
-    std::shared_ptr<bool> alive;
+    std::uint32_t slot = 0;
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+    bool operator()(const Key& a, const Key& b) const noexcept {
       if (a.at != b.at) return a.at > b.at;
       return a.sequence > b.sequence;
     }
   };
+  /// What an event runs. `alive` is null for post_* events; `period` is
+  /// 0 except for periodic tasks, which re-arm after each firing.
+  struct Slot {
+    std::function<void()> action;
+    std::shared_ptr<bool> alive;
+    Time period = 0.0;
+  };
 
-  EventHandle push(Time at, std::function<void()> action);
-  /// Heap-insert `event` (min-heap on (at, sequence) via Later).
-  void enqueue(Event event);
-  void push_periodic(Time at, Time period, std::shared_ptr<std::function<void()>> action,
-                     std::shared_ptr<bool> alive);
+  /// Queue `action` at max(at, now) in a free (or new) slot.
+  void enqueue(Time at, std::function<void()> action, std::shared_ptr<bool> alive,
+               Time period);
+  /// Pop the earliest key and return its slot to the free list.
+  void pop_cancelled();
+  [[nodiscard]] bool cancelled(const Key& key) const noexcept {
+    const Slot& slot = slots_[key.slot];
+    return slot.alive != nullptr && !*slot.alive;
+  }
 
   Time now_ = 0.0;
   std::uint64_t next_sequence_ = 0;
   std::uint64_t executed_ = 0;
-  /// Binary min-heap maintained with std::push_heap/std::pop_heap, so
-  /// step() can move the earliest event out instead of copying its
-  /// closure (and every payload the closure captured). (at, sequence) is
-  /// a total order, so the firing order is fully determined.
-  std::vector<Event> queue_;
+  /// Binary min-heap (std::push_heap/std::pop_heap with Later).
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace aequus::sim

@@ -100,10 +100,12 @@ std::size_t Experiment::apply_offloads(std::size_t index, double now) {
 void Experiment::schedule_submissions() {
   // Each event captures only the record's position (small enough for
   // std::function's inline storage) and reads the record when it fires;
-  // the trace outlives the run.
+  // the trace outlives the run. The events are posted without cancel
+  // handles: run() closes submissions with one flag instead.
   const auto& records = scenario_.trace.records();
   for (std::size_t i = 0; i < records.size(); ++i) {
-    tasks_.push_back(simulator_.schedule_at(records[i].submit, [this, i] {
+    simulator_.post_at(records[i].submit, [this, i] {
+      if (submissions_closed_) return;
       const workload::TraceRecord& record = scenario_.trace.records()[i];
       std::size_t index;
       if (config_.dispatch == DispatchPolicy::kRoundRobin) {
@@ -118,7 +120,7 @@ void Experiment::schedule_submissions() {
       job.duration = record.duration;
       job.cores = record.cores;
       sites_[index]->submit(std::move(job));
-    }));
+    });
   }
 }
 
@@ -205,6 +207,7 @@ ExperimentResult Experiment::run() {
   }
 
   for (auto& task : tasks_) task.cancel();
+  submissions_closed_ = true;
 
   result.jobs_submitted = scenario_.trace.size();
   result.jobs_completed = completed_jobs_;

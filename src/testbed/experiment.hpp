@@ -168,6 +168,9 @@ class Experiment {
   double total_completed_usage_ = 0.0;
   std::uint64_t completed_jobs_ = 0;
   std::vector<sim::EventHandle> tasks_;
+  /// Set where run() cancels tasks_: trace submissions still queued then
+  /// fire as no-ops (they are posted without handles).
+  bool submissions_closed_ = false;
   std::vector<std::function<void(double)>> tick_hooks_;
 };
 

@@ -612,5 +612,143 @@ TEST_F(ServiceBusTest, PayloadBytesAreTheSameWithAndWithoutATap) {
   EXPECT_EQ(plain, 20u * bulky_payload("n0").dump().size());
 }
 
+TEST_F(ServiceBusTest, DuplicatedQueryAndReplyLegsRunEveryContinuation) {
+  // duplicate_rate = 1 on both legs: the query arrives twice, each
+  // handler run answers, and each answer arrives twice. The two reply
+  // legs of one run share that run's reply; all four continuations fire.
+  FaultPlan plan;
+  plan.duplicate_rate = 1.0;
+  plan.latency_jitter = 0.5;
+  plan.seed = 11;
+  bus.set_fault_plan(plan);
+  int runs = 0;
+  bus.bind("b.svc", [&](const json::Value& request) {
+    ++runs;
+    return json::Value(json::Object{{"run", json::Value(runs)},
+                                    {"msg", json::Value(request.get_string("msg"))}});
+  });
+  std::vector<std::pair<double, int>> replies;
+  bus.request("a", "b.svc", json::Value(json::Object{{"msg", json::Value("q")}}),
+              [&](const json::Value& reply) {
+                EXPECT_EQ(reply.get_string("msg"), "q");
+                replies.emplace_back(simulator.now(),
+                                     static_cast<int>(reply.get_number("run")));
+              });
+  EXPECT_EQ(bus.in_flight(), 1u);  // both query arrivals share one slot
+  simulator.run_all();
+  EXPECT_EQ(runs, 2);
+  ASSERT_EQ(replies.size(), 4u);
+  int from_first = 0;
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    if (replies[i].second == 1) ++from_first;
+    if (i > 0) EXPECT_LE(replies[i - 1].first, replies[i].first);
+  }
+  EXPECT_EQ(from_first, 2);
+  EXPECT_EQ(bus.stats().duplicated, 3u);  // one query leg, two reply legs
+  EXPECT_EQ(bus.in_flight(), 0u);
+}
+
+TEST_F(ServiceBusTest, UnbindThenRebindWhileQueryInFlightRoutesToTheNewHandler) {
+  bus.set_remote_latency(1.0);
+  bus.bind("b.svc", echo_handler);
+  std::string echoed;
+  int errors = 0;
+  bus.request(
+      "a", "b.svc", json::Value(json::Object{{"msg", json::Value("x")}}),
+      [&](const json::Value& reply) { echoed = reply.get_string("echo"); },
+      [&](const json::Value&) { ++errors; });
+  bus.unbind("b.svc");
+  EXPECT_FALSE(bus.bound("b.svc"));
+  bus.bind("b.svc", [](const json::Value&) {
+    return json::Value(json::Object{{"echo", json::Value("rebound")}});
+  });
+  EXPECT_TRUE(bus.bound("b.svc"));
+  simulator.run_all();
+  EXPECT_EQ(echoed, "rebound");
+  EXPECT_EQ(errors, 0);
+  EXPECT_EQ(bus.stats().dropped_unbound, 0u);
+  EXPECT_EQ(bus.in_flight(), 0u);
+}
+
+TEST_F(ServiceBusTest, ReentrantRequestsWhileTheSlotPoolsGrow) {
+  // A handler and a reply callback each issue a burst of requests while
+  // their own request's slots are held; the pools grow under them, and
+  // every continuation still sees its own payload and reply.
+  bus.bind("c.echo", echo_handler);
+  std::vector<std::string> inner;
+  bus.bind("b.fanout", [&](const json::Value& request) {
+    for (int i = 0; i < 40; ++i) {
+      const std::string tag = "h" + std::to_string(i);
+      bus.request("b", "c.echo", json::Value(json::Object{{"msg", json::Value(tag)}}),
+                  [&inner, tag](const json::Value& reply) {
+                    EXPECT_EQ(reply.get_string("echo"), tag);
+                    inner.push_back(tag);
+                  });
+    }
+    return json::Value(json::Object{{"echo", json::Value(request.get_string("msg"))}});
+  });
+  std::vector<std::string> outer;
+  for (int k = 0; k < 3; ++k) {
+    const std::string tag = "r" + std::to_string(k);
+    bus.request("a", "b.fanout", json::Value(json::Object{{"msg", json::Value(tag)}}),
+                [&, tag](const json::Value& reply) {
+                  EXPECT_EQ(reply.get_string("echo"), tag);
+                  outer.push_back(tag);
+                  for (int i = 0; i < 40; ++i) {
+                    const std::string again = tag + "." + std::to_string(i);
+                    bus.request("a", "c.echo",
+                                json::Value(json::Object{{"msg", json::Value(again)}}),
+                                [&inner, again](const json::Value& echo) {
+                                  EXPECT_EQ(echo.get_string("echo"), again);
+                                  inner.push_back(again);
+                                });
+                  }
+                });
+  }
+  simulator.run_all();
+  EXPECT_EQ(outer, (std::vector<std::string>{"r0", "r1", "r2"}));
+  EXPECT_EQ(inner.size(), 3u * 40u + 3u * 40u);
+  EXPECT_EQ(bus.stats().requests, 3u + 3u * 40u + 3u * 40u);
+  EXPECT_EQ(bus.in_flight(), 0u);
+}
+
+TEST_F(ServiceBusTest, DroppedLegsReleaseTheirSlots) {
+  bus.bind("b.svc", echo_handler);
+  bus.bind("b.sink", [](const json::Value&) { return json::Value(); });
+  int replies = 0;
+  const auto on_reply = [&](const json::Value&) { ++replies; };
+
+  // Participation: the reply leg is dropped at the responder.
+  bus.set_site_contributes("b", false);
+  bus.request("a", "b.svc", json::Value(json::Object{}), on_reply);
+  EXPECT_EQ(bus.in_flight(), 1u);
+  simulator.run_all();
+  EXPECT_EQ(bus.stats().dropped_participation, 1u);
+  EXPECT_EQ(bus.in_flight(), 0u);
+  bus.send("b", "a.sink", json::Value(json::Object{}));  // dropped at send
+  EXPECT_EQ(bus.in_flight(), 0u);
+  bus.set_site_contributes("b", true);
+
+  // Loss: the query leg is dropped at send time.
+  bus.set_loss_rate(1.0);
+  bus.request("a", "b.svc", json::Value(json::Object{}), on_reply);
+  bus.send("a", "b.sink", json::Value(json::Object{}));
+  EXPECT_EQ(bus.in_flight(), 0u);
+  EXPECT_EQ(bus.stats().dropped_loss, 2u);
+
+  // Unbound at send without an error callback: nothing stays behind.
+  bus.set_loss_rate(0.0);
+  bus.request("a", "b.nobody", json::Value(json::Object{}), on_reply);
+  EXPECT_EQ(bus.in_flight(), 0u);
+  simulator.run_all();
+  EXPECT_EQ(replies, 0);
+
+  // The freed slots are reused: a working round trip after the drops.
+  bus.request("a", "b.svc", json::Value(json::Object{{"msg", json::Value("ok")}}), on_reply);
+  simulator.run_all();
+  EXPECT_EQ(replies, 1);
+  EXPECT_EQ(bus.in_flight(), 0u);
+}
+
 }  // namespace
 }  // namespace aequus::net

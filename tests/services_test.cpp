@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -602,6 +603,112 @@ TEST_F(ServicesTest, UmsKeepsASourceWhenAReplyIsMalformedPartway) {
   simulator.run_until(95.0);
   EXPECT_DOUBLE_EQ(ums.usage_tree().usage("/alice"), 99.0);
   EXPECT_DOUBLE_EQ(ums.usage_tree().usage("/bob"), 0.0);
+}
+
+TEST_F(ServicesTest, UmsSkipsAnUnchangedFrozenReplyAndPicksUpTheNextChange) {
+  Pds pds(simulator, bus, "site0");
+  pds.set_policy(flat_policy({{"alice", 1.0}, {"bob", 1.0}}));
+  Uss uss(simulator, bus, "site0");
+  UmsConfig config;
+  config.decay.kind = core::DecayKind::kNone;
+  Ums ums(simulator, bus, "site0", config);
+  uss.report("alice", 10.0);
+  simulator.run_until(35.0);
+  EXPECT_DOUBLE_EQ(ums.usage_tree().usage("/alice"), 10.0);
+
+  // No change at the USS: the next polls get the same frozen reply.
+  json::Value served = bus.call("site0.uss", kHistogramsOp);
+  const std::weak_ptr<const json::Frozen> first = served.frozen_identity();
+  simulator.run_until(95.0);
+  EXPECT_TRUE(bus.call("site0.uss", kHistogramsOp).same_frozen(first));
+  EXPECT_DOUBLE_EQ(ums.usage_tree().usage("/alice"), 10.0);
+
+  // The USS changes: its new reply is a new object, and the UMS takes it.
+  uss.report("bob", 4.0);
+  simulator.run_until(125.0);
+  EXPECT_FALSE(bus.call("site0.uss", kHistogramsOp).same_frozen(first));
+  EXPECT_DOUBLE_EQ(ums.usage_tree().usage("/alice"), 10.0);
+  EXPECT_DOUBLE_EQ(ums.usage_tree().usage("/bob"), 4.0);
+
+  // The UMS holds only a weak identity: nothing keeps the superseded
+  // reply alive once the test lets go of its own copy.
+  EXPECT_FALSE(first.expired());
+  served = json::Value();
+  EXPECT_TRUE(first.expired());
+}
+
+TEST_F(ServicesTest, UmsKeepsItsBinsWhenAMalformedReplyFollowsASkip) {
+  Pds pds(simulator, bus, "site0");
+  pds.set_policy(flat_policy({{"alice", 1.0}, {"bob", 1.0}}));
+  const json::Value good =
+      json::Value::frozen(json::parse(R"({"users":{"alice":[[0,10]],"bob":[[0,5]]}})"));
+  json::Value reply = good;
+  bus.bind("site0.uss", [&](const json::Value&) { return reply; });
+  UmsConfig config;
+  config.decay.kind = core::DecayKind::kNone;
+  Ums ums(simulator, bus, "site0", config);
+  simulator.run_until(65.0);  // two polls: the second reply is skipped
+  ASSERT_DOUBLE_EQ(ums.usage_tree().usage("/alice"), 10.0);
+  const core::UsageTree kept = ums.usage_tree();
+
+  std::vector<std::string> warnings;
+  util::Logger::instance().set_sink(
+      [&](util::LogLevel, std::string_view component, std::string_view message) {
+        warnings.push_back(std::string(component) + ": " + std::string(message));
+      });
+  reply = json::Value::frozen(json::parse(R"({"users":{"alice":[[0,"x"]]}})"));
+  simulator.run_until(95.0);
+  // The good reply served once more is still skipped: a failed decode
+  // does not replace the committed reply's identity.
+  reply = good;
+  simulator.run_until(125.0);
+  util::Logger::instance().set_sink(nullptr);
+  ASSERT_EQ(warnings.size(), 1u);
+  EXPECT_NE(warnings[0].find("bad histogram reply from site0.uss"), std::string::npos)
+      << warnings[0];
+  EXPECT_EQ(ums.usage_tree().leaves(), kept.leaves());
+  EXPECT_EQ(ums.usage_tree().total(), kept.total());
+}
+
+TEST_F(ServicesTest, FcsTableReplyFollowsEveryRepublish) {
+  Installation site(simulator, bus, "site0");
+  site.set_policy(flat_policy({{"alice", 1.0}, {"bob", 1.0}}));
+  const json::Value table_op = json::parse(R"({"op":"table"})");
+  // Expected plain reply, built fresh from the published factors.
+  const auto fresh = [&] {
+    json::Object users;
+    for (const auto& [path, factor] : site.fcs().table()) {
+      users[core::split_path(path).back()] = factor;
+    }
+    return json::Value(json::Object{{"users", json::Value(std::move(users))}}).dump();
+  };
+  const json::Value before = bus.call("site0.fcs", table_op);
+  EXPECT_TRUE(before.is_frozen());
+  EXPECT_EQ(before.dump(), R"({"users":{}})");
+
+  std::weak_ptr<const json::Frozen> last;
+  std::string last_dump;
+  for (int step = 1; step <= 4; ++step) {
+    site.uss().report(step % 2 == 0 ? "alice" : "bob", 50.0 * step);
+    simulator.run_until(100.0 * step);
+    const json::Value reply = bus.call("site0.fcs", table_op);
+    EXPECT_TRUE(reply.is_frozen());
+    EXPECT_EQ(reply.dump(), fresh()) << "step " << step;
+    EXPECT_EQ(reply.wire_size(), reply.dump().size());
+    EXPECT_NE(reply.dump(), last_dump);
+    EXPECT_FALSE(reply.same_frozen(last));
+    // Served again without a republish in between: the same object.
+    EXPECT_TRUE(bus.call("site0.fcs", table_op).same_frozen(reply.frozen_identity()));
+    last = reply.frozen_identity();
+    last_dump = reply.dump();
+  }
+
+  // A projection change republishes at the same generation; the reply
+  // follows it too.
+  core::ProjectionConfig projection = site.fcs().config().projection;
+  projection.kind = core::ProjectionKind::kDictionaryOrdering;
+  site.fcs().set_projection(projection);
+  EXPECT_EQ(bus.call("site0.fcs", table_op).dump(), fresh());
 }
 
 TEST_F(ServicesTest, TelemetryCountsKnownAndUnknownOps) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -265,6 +266,126 @@ TEST(Simulator, CancellationAndPeriodicRearmAmongTies) {
   EXPECT_EQ(order, (std::vector<int>{7, 0, 1, 7, 2, 7}));
   EXPECT_FALSE(periodic.active());
   EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(Simulator, FiredEventSlotIsReused) {
+  Simulator s;
+  int fired = 0;
+  s.schedule_at(1.0, [&] { ++fired; });
+  s.post_at(2.0, [&] { ++fired; });
+  EXPECT_EQ(s.slot_count(), 2u);
+  s.run_all();
+  // Both slots are free again: the next two events take them over.
+  s.post_at(3.0, [&] { ++fired; });
+  s.schedule_at(4.0, [&] { ++fired; });
+  EXPECT_EQ(s.slot_count(), 2u);
+  s.run_all();
+  EXPECT_EQ(fired, 4);
+  EXPECT_EQ(s.slot_count(), 2u);
+}
+
+TEST(Simulator, EventScheduledWhileFiringReusesItsSlot) {
+  // step() frees the slot before running the action, so a chain of
+  // events that each schedule the next one needs a single slot.
+  Simulator s;
+  int depth = 0;
+  std::function<void()> next = [&] {
+    if (++depth < 100) s.post_after(1.0, next);
+  };
+  s.post_at(0.0, next);
+  s.run_all();
+  EXPECT_EQ(depth, 100);
+  EXPECT_EQ(s.slot_count(), 1u);
+}
+
+TEST(Simulator, CancelledEventSlotIsReusedOncePopped) {
+  Simulator s;
+  bool fired = false;
+  EventHandle handle = s.schedule_at(5.0, [&] { fired = true; });
+  handle.cancel();
+  // Not popped yet: the cancelled event still holds its slot.
+  EXPECT_EQ(s.pending(), 1u);
+  s.post_at(6.0, [] {});
+  EXPECT_EQ(s.slot_count(), 2u);
+  s.run_all();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(s.executed(), 1u);
+  s.post_at(7.0, [] {});
+  s.post_at(7.0, [] {});
+  EXPECT_EQ(s.slot_count(), 2u);
+}
+
+TEST(Simulator, FifoTiesHoldAcrossReusedSlots) {
+  // Slots are reused last-freed first, so a later event can sit in a
+  // lower slot than an earlier one; ties must still follow insertion.
+  Simulator s;
+  std::vector<int> order;
+  for (int i = 0; i < 4; ++i) s.post_at(1.0, [] {});
+  s.run_all();
+  for (int i = 0; i < 8; ++i) {
+    s.post_at(5.0, [&order, i] { order.push_back(i); });
+  }
+  EXPECT_EQ(s.slot_count(), 8u);
+  s.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(Simulator, PendingCountsCancelledEventsUntilPopped) {
+  Simulator s;
+  EventHandle first = s.schedule_at(1.0, [] {});
+  s.schedule_at(2.0, [] {});
+  EventHandle third = s.schedule_at(3.0, [] {});
+  first.cancel();
+  third.cancel();
+  EXPECT_EQ(s.pending(), 3u);
+  s.run_until(1.5);  // pops the cancelled head only
+  EXPECT_EQ(s.pending(), 2u);
+  EXPECT_TRUE(s.step());
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_FALSE(s.step());  // the cancelled tail drains without firing
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_EQ(s.executed(), 1u);
+}
+
+TEST(Simulator, CancelAfterFiringIsANoOp) {
+  // The stale handle's flag is its own, not the slot's: cancelling it
+  // must not cancel the event that has since taken the slot over.
+  Simulator s;
+  int fired = 0;
+  EventHandle handle = s.schedule_at(1.0, [&] { ++fired; });
+  s.run_all();
+  EXPECT_EQ(fired, 1);
+  s.post_at(2.0, [&] { ++fired; });
+  EventHandle next = s.schedule_at(3.0, [&] { ++fired; });
+  handle.cancel();
+  s.run_all();
+  EXPECT_EQ(fired, 3);
+  EXPECT_TRUE(next.active());
+}
+
+TEST(Simulator, PostAndScheduleShareOneTieOrder) {
+  Simulator s;
+  std::vector<int> order;
+  s.post_at(10.0, [&] { order.push_back(0); });
+  s.schedule_at(10.0, [&] { order.push_back(1); });
+  s.post_after(10.0, [&] { order.push_back(2); });
+  s.schedule_after(10.0, [&] { order.push_back(3); });
+  s.schedule_periodic(10.0, 100.0, [&] { order.push_back(4); });
+  s.post_at(10.0, [&] { order.push_back(5); });
+  s.post_at(5.0, [&] { s.post_after(5.0, [&] { order.push_back(6); }); });
+  s.run_until(10.0);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+}
+
+TEST(Simulator, PostClampsPastTimesAndNegativeDelays) {
+  Simulator s;
+  s.post_at(10.0, [] {});
+  s.run_all();
+  std::vector<double> fired;
+  s.post_at(5.0, [&] { fired.push_back(s.now()); });
+  s.post_after(-1.0, [&] { fired.push_back(s.now()); });
+  s.run_all();
+  EXPECT_EQ(fired, (std::vector<double>{10.0, 10.0}));
 }
 
 }  // namespace
