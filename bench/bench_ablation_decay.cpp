@@ -29,7 +29,7 @@ struct Outcome {
 Outcome run_with(const workload::Scenario& scenario, core::DecayConfig decay) {
   testbed::ExperimentConfig config;
   config.fairshare.decay = decay;
-  const testbed::ExperimentResult result = bench::run_scenario(scenario, config);
+  const testbed::ExperimentResult result = testbed::Experiment(scenario, config).run();
   Outcome o;
   o.convergence = result.priority_convergence_time(0.05, scenario.duration_seconds);
   std::size_t n = 0;

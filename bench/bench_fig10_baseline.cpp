@@ -5,7 +5,8 @@
 // balance: cumulative usage shares approach the targets and all users'
 // priorities approach the 0.5 balance point.
 //
-// Runs as a parallel sweep (default 4 replications, seeds derived from
+// The experiment is defined once, by scenarios/fig10_baseline.json. It
+// runs as a parallel sweep (the spec's 4 replications, seeds derived from
 // the root seed) so the convergence numbers carry confidence intervals;
 // unless --no-serial-reference is given, a single-threaded reference
 // sweep measures the parallel speedup. Emits BENCH_fig10_baseline.json.
@@ -20,14 +21,13 @@ int main(int argc, char** argv) {
   bench::print_banner("Figure 10: baseline six-cluster convergence",
                       "Espling et al., IPPS'14, Section IV-A test 1");
 
-  const bench::BenchArgs args = bench::parse_bench_args(argc, argv, bench::kTestbedJobs, 4);
-  const workload::Scenario scenario = workload::baseline_scenario(2012, args.jobs);
+  const bench::BenchArgs args = bench::parse_bench_args(argc, argv, bench::kTestbedJobs, 0);
+  const testbed::SweepSpec spec = bench::catalog_sweep("fig10_baseline", args);
+  const workload::Scenario& scenario = spec.variants.front().scenario;
   std::printf("scenario: %d clusters x %d hosts, %zu jobs, %.0f s, target load %.0f%%\n\n",
               scenario.cluster_count, scenario.hosts_per_cluster, scenario.trace.size(),
               scenario.duration_seconds, 100.0 * scenario.target_load);
 
-  const testbed::SweepSpec spec =
-      bench::make_sweep({{"baseline", scenario, testbed::ExperimentConfig{}}}, args);
   const bench::SweepRun sweep = bench::run_sweep_with_reference(spec, args);
 
   // The charts show replication 0; the tables aggregate all of them.
@@ -72,6 +72,7 @@ int main(int argc, char** argv) {
                 std::abs(share - scenario.usage_shares.at(user)));
   }
 
+  bench::report_observability(args, sweep.result);
   bench::write_bench_json("fig10_baseline", args, spec, sweep.result, sweep.extra);
   return 0;
 }

@@ -7,9 +7,11 @@
 // ruling update delay out as a significant error source for the
 // compressed tests.
 //
-// Both variants run as one parallel sweep (default 3 replications each)
-// so the convergence fractions carry confidence intervals. Emits
-// BENCH_fig11_update_delay.json.
+// The experiment is defined once, by scenarios/fig11_update_delay.json
+// (10-minute service cadences and client TTL, a week-long decay
+// half-life in both runs). Both variants run as one parallel sweep (the
+// spec's 3 replications each) so the convergence fractions carry
+// confidence intervals. Emits BENCH_fig11_update_delay.json.
 #include <cstdio>
 
 #include "common.hpp"
@@ -22,31 +24,10 @@ int main(int argc, char** argv) {
 
   // A lighter default than 43,200 jobs: the x10 run simulates 60 hours of
   // service chatter, so this bench uses a 12k-job baseline by default.
-  const bench::BenchArgs args = bench::parse_bench_args(argc, argv, 12000, 3);
-  const workload::Scenario base = workload::baseline_scenario(2012, args.jobs);
-  const workload::Scenario scaled = workload::scaled_scenario(base, 10.0);
-
-  testbed::ExperimentConfig config;  // identical delays for both runs
-  // Production-style service cadences: 10-minute USS/UMS/FCS periods and
-  // libaequus TTL (the update pipeline the experiment is about). The
-  // total staleness (~30 min end to end) is then a noticeable fraction of
-  // the 6-hour baseline but only a tenth of that for the x10 run.
-  config.timings.service_update_interval = 600.0;
-  config.timings.client_cache_ttl = 600.0;
-  config.timings.reprioritize_interval = 60.0;
-  // A week-long decay half-life makes usage effectively cumulative in
-  // *both* runs, so the only relative difference between them is the
-  // update pipeline — the variable this experiment isolates.
-  config.fairshare.decay =
-      core::DecayConfig{core::DecayKind::kExponentialHalfLife, 7.0 * 86400.0, 0.0};
-
-  testbed::ExperimentConfig scaled_config = config;
-  scaled_config.sample_interval = config.sample_interval * 10.0;
-  scaled_config.drain_seconds = 18000.0;
-
-  testbed::SweepSpec spec =
-      bench::make_sweep({{"baseline", base, config}, {"x10", scaled, scaled_config}}, args);
-  spec.convergence_epsilon = 0.08;
+  const bench::BenchArgs args = bench::parse_bench_args(argc, argv, 12000, 0);
+  const testbed::SweepSpec spec = bench::catalog_sweep("fig11_update_delay", args);
+  const workload::Scenario& base = spec.variants.at(0).scenario;
+  const workload::Scenario& scaled = spec.variants.at(1).scenario;
   std::printf("baseline: %zu jobs over %.0f s; x10: %zu jobs over %.0f s, same delays\n",
               base.trace.size(), base.duration_seconds, scaled.trace.size(),
               scaled.duration_seconds);

@@ -5,6 +5,11 @@
 // minute range"), loses balance when U65's queue runs dry, converges
 // again when U65's next phase arrives (~240 min), and ends with mostly
 // U30 jobs running below-balance priority to keep utilization up.
+//
+// The experiment is defined once, by scenarios/fig12_nonoptimal_policy.json
+// (one replication unless --reps says otherwise); the charts and window
+// checks read replication 0. Emits BENCH_fig12_nonoptimal_policy.json.
+#include <algorithm>
 #include <cstdio>
 
 #include "common.hpp"
@@ -15,8 +20,9 @@ int main(int argc, char** argv) {
   bench::print_banner("Figure 12: non-optimal policy (70/20/8/2)",
                       "Espling et al., IPPS'14, Section IV-A test 3");
 
-  const std::size_t jobs = bench::jobs_from_argv(argc, argv, bench::kTestbedJobs);
-  const workload::Scenario scenario = workload::nonoptimal_policy_scenario(2012, jobs);
+  const bench::BenchArgs args = bench::parse_bench_args(argc, argv, bench::kTestbedJobs, 0);
+  const testbed::SweepSpec spec = bench::catalog_sweep("fig12_nonoptimal_policy", args);
+  const workload::Scenario& scenario = spec.variants.front().scenario;
   std::printf("policy: U65 %.0f%%, U30 %.0f%%, U3 %.0f%%, Uoth %.0f%% — workload usage "
               "shares: %.1f/%.1f/%.1f/%.1f%%\n\n",
               100.0 * scenario.policy_shares.at("U65"),
@@ -28,7 +34,8 @@ int main(int argc, char** argv) {
               100.0 * scenario.usage_shares.at("U3"),
               100.0 * scenario.usage_shares.at("Uoth"));
 
-  const testbed::ExperimentResult result = bench::run_scenario(scenario);
+  const bench::SweepRun sweep = bench::run_sweep_with_reference(spec, args);
+  const testbed::ExperimentResult& result = sweep.result.tasks.front().result;
 
   std::printf("%s\n",
               result.usage_shares
@@ -81,7 +88,11 @@ int main(int argc, char** argv) {
     std::printf("  %-5s measured %.3f | workload %.3f | policy %.3f\n", user.c_str(), share,
                 scenario.usage_shares.at(user), scenario.policy_shares.at(user));
   }
-  std::printf("\nmean utilization stays high despite the policy mismatch: %.1f%%\n",
+  std::printf("\nmean utilization stays high despite the policy mismatch: %.1f%%\n\n",
               100.0 * result.mean_utilization);
+
+  bench::print_aggregates(sweep.result);
+  bench::report_observability(args, sweep.result);
+  bench::write_bench_json("fig12_nonoptimal_policy", args, spec, sweep.result, sweep.extra);
   return 0;
 }

@@ -8,6 +8,10 @@
 //     readjusts when the burst lands (~130 min);
 //   - peak submission rate far above the sustained 120 jobs/min
 //     (paper: 472 jobs/min).
+//
+// The experiment is defined once, by scenarios/fig13_bursty.json (one
+// replication unless --reps says otherwise); the charts and checks read
+// replication 0. Emits BENCH_fig13_bursty.json.
 #include <algorithm>
 #include <cstdio>
 
@@ -20,8 +24,9 @@ int main(int argc, char** argv) {
   bench::print_banner("Figure 13: bursty usage test",
                       "Espling et al., IPPS'14, Section IV-A test 5");
 
-  const std::size_t jobs = bench::jobs_from_argv(argc, argv, bench::kTestbedJobs);
-  const workload::Scenario scenario = workload::bursty_scenario(2012, jobs);
+  const bench::BenchArgs args = bench::parse_bench_args(argc, argv, bench::kTestbedJobs, 0);
+  const testbed::SweepSpec spec = bench::catalog_sweep("fig13_bursty", args);
+  const workload::Scenario& scenario = spec.variants.front().scenario;
 
   // Fig 13c analogue: job arrival model.
   {
@@ -51,7 +56,8 @@ int main(int argc, char** argv) {
               100.0 * stats_by_user.at("U3").usage_fraction,
               100.0 * stats_by_user.at("Uoth").usage_fraction);
 
-  const testbed::ExperimentResult result = bench::run_scenario(scenario);
+  const bench::SweepRun sweep = bench::run_sweep_with_reference(spec, args);
+  const testbed::ExperimentResult& result = sweep.result.tasks.front().result;
 
   std::printf("%s\n",
               result.usage_shares
@@ -97,7 +103,11 @@ int main(int argc, char** argv) {
 
   std::printf("\nsubmission rates: sustained %.0f /min, peak %.0f /min (paper: 120 / 472)\n",
               result.rates.sustained_per_minute, result.rates.peak_per_minute);
-  std::printf("mean utilization %.1f%% (paper window: 93-97%%)\n",
+  std::printf("mean utilization %.1f%% (paper window: 93-97%%)\n\n",
               100.0 * result.mean_utilization);
+
+  bench::print_aggregates(sweep.result);
+  bench::report_observability(args, sweep.result);
+  bench::write_bench_json("fig13_bursty", args, spec, sweep.result, sweep.extra);
   return 0;
 }

@@ -15,6 +15,7 @@
 #include "json/json.hpp"
 #include "obs/span_analysis.hpp"
 #include "obs/trace.hpp"
+#include "scenario/catalog.hpp"
 #include "testing/determinism.hpp"
 #include "util/rng.hpp"
 
@@ -51,6 +52,23 @@ bool positional(const char* arg) {
 
 constexpr std::uint64_t kMaxJobs = 100'000'000;
 constexpr std::uint64_t kMaxReps = 1'000'000;
+
+/// Honour --trace: trace each variant's first replication (tasks are
+/// variant-major, so that is task_index % replications == 0); tracing
+/// every replication would multiply the buffers for no analytical gain.
+/// The ring cap bounds memory on long runs — evictions show up as
+/// trace.dropped_events and as unmatched ends in the analysis.
+void attach_trace_hook(testbed::SweepSpec& spec, const BenchArgs& args) {
+  if (args.trace_path.empty()) return;
+  const std::size_t replications = spec.replications;
+  const std::size_t cap = args.trace_cap;
+  spec.on_setup = [replications, cap](testbed::Experiment& experiment, std::size_t task_index) {
+    if (task_index % replications == 0) {
+      experiment.tracer().set_capacity(cap);
+      experiment.tracer().enable();
+    }
+  };
+}
 }  // namespace
 
 std::size_t jobs_from_argv(int argc, char** argv, std::size_t fallback) {
@@ -116,23 +134,31 @@ testbed::SweepSpec make_sweep(std::vector<testbed::SweepVariant> variants,
   spec.root_seed = args.root_seed;
   spec.threads = args.threads;
   testing::attach_fingerprints(spec);
-  if (!args.trace_path.empty()) {
-    // Trace each variant's first replication (tasks are variant-major, so
-    // that is task_index % replications == 0); tracing every replication
-    // would multiply the buffers for no analytical gain. The ring cap
-    // bounds memory on long runs — evictions show up as
-    // trace.dropped_events and as unmatched ends in the analysis.
-    const std::size_t replications = spec.replications;
-    const std::size_t cap = args.trace_cap;
-    spec.on_setup = [replications, cap](testbed::Experiment& experiment,
-                                        std::size_t task_index) {
-      if (task_index % replications == 0) {
-        experiment.tracer().set_capacity(cap);
-        experiment.tracer().enable();
-      }
-    };
-  }
+  attach_trace_hook(spec, args);
   return spec;
+}
+
+testbed::SweepSpec catalog_sweep(const std::string& name, const BenchArgs& args) {
+  try {
+    scenario::ScenarioSpec spec = scenario::load_spec_file(
+        (std::filesystem::path(scenario::catalog_dir()) / (name + ".json")).string());
+    spec.workload.jobs = args.jobs;
+    scenario::CompileOptions options;
+    options.min_jobs = 0;  // the argv job count is exact
+    options.threads = args.threads;
+    options.replications = args.replications;
+    testbed::SweepSpec sweep = scenario::compile(spec, options).sweep;
+    for (std::size_t i = 0; i < sweep.variants.size(); ++i) {
+      sweep.variants[i].name = spec.variants.empty() ? spec.workload.base : spec.variants[i].name;
+    }
+    sweep.root_seed = args.root_seed;
+    sweep.keep_results = true;
+    attach_trace_hook(sweep, args);
+    return sweep;
+  } catch (const scenario::SpecError& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    std::exit(1);
+  }
 }
 
 SweepRun run_sweep_with_reference(const testbed::SweepSpec& spec, const BenchArgs& args) {
@@ -408,12 +434,6 @@ void rescale_to_capacity(workload::Scenario& scenario) {
   const double current = scenario.trace.total_usage();
   if (current <= 0.0) return;
   for (auto& record : scenario.trace.records()) record.duration *= target / current;
-}
-
-testbed::ExperimentResult run_scenario(const workload::Scenario& scenario,
-                                       testbed::ExperimentConfig config) {
-  testbed::Experiment experiment(scenario, std::move(config));
-  return experiment.run();
 }
 
 void print_banner(const std::string& title, const std::string& paper_reference) {

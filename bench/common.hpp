@@ -75,6 +75,16 @@ struct BenchArgs {
 [[nodiscard]] testbed::SweepSpec make_sweep(std::vector<testbed::SweepVariant> variants,
                                             const BenchArgs& args);
 
+/// The sweep of catalog scenario `name` (<catalog_dir()>/<name>.json, the
+/// one definition of that paper experiment), compiled at args.jobs with
+/// --reps (0 keeps the spec's replications), --threads and --seed
+/// applied, fingerprints and the --trace hook attached, and full results
+/// kept (benches chart replication 0). Variants carry the bench labels:
+/// a declared spec variant keeps its own name ("x10"), the implicit one
+/// takes the workload base name ("baseline"). A spec that fails to load
+/// prints a one-line error and exits 1.
+[[nodiscard]] testbed::SweepSpec catalog_sweep(const std::string& name, const BenchArgs& args);
+
 /// Run `spec`, printing a one-line progress note, and — unless disabled —
 /// a single-threaded reference sweep of the same spec to measure speedup.
 /// `extra` entries (e.g. serial wall time, speedup) are merged into the
@@ -137,10 +147,6 @@ void write_bench_json(const std::string& bench_name, const BenchArgs& args,
 /// Rescale a scenario's durations so total usage hits target_load of the
 /// (possibly modified) capacity. Used when benches shrink cluster counts.
 void rescale_to_capacity(workload::Scenario& scenario);
-
-/// Run a scenario through the full testbed with paper-default timings.
-[[nodiscard]] testbed::ExperimentResult run_scenario(const workload::Scenario& scenario,
-                                                     testbed::ExperimentConfig config = {});
 
 /// Pretty banner for bench output.
 void print_banner(const std::string& title, const std::string& paper_reference);

@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "testbed/experiment.hpp"
+#include "scenario/compile.hpp"
 #include "util/strings.hpp"
 
 int main(int argc, char** argv) {
@@ -18,15 +18,17 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::atol(argv[1]) > 0) jobs = static_cast<std::size_t>(std::atol(argv[1]));
 
   // The baseline scenario: 6 clusters x 40 hosts, six simulated hours,
-  // 95 % load, policy targets equal to the workload's usage shares.
-  const workload::Scenario scenario = workload::baseline_scenario(/*seed=*/42, jobs);
+  // 95 % load, policy targets equal to the workload's usage shares, and
+  // stochastic dispatch as in the paper's tests (DSL floor: 40 jobs).
+  const scenario::CompiledScenario compiled = scenario::compile(scenario::parse_spec_text(
+      util::format(R"({"name": "national_grid", "workload": {"jobs": %zu, "seed": 42}})", jobs)));
+  const testbed::SweepVariant& baseline = compiled.sweep.variants.front();
+  const workload::Scenario& scenario = baseline.scenario;
   std::printf("national grid simulation: %zu jobs, %d clusters x %d hosts, %.1f h\n\n",
               scenario.trace.size(), scenario.cluster_count, scenario.hosts_per_cluster,
               scenario.duration_seconds / 3600.0);
 
-  testbed::ExperimentConfig config;
-  config.dispatch = testbed::DispatchPolicy::kStochastic;  // as in the paper's tests
-  testbed::Experiment experiment(scenario, config);
+  testbed::Experiment experiment(scenario, baseline.config);
   const testbed::ExperimentResult result = experiment.run();
 
   std::printf("%s\n", result.priorities

@@ -1,23 +1,17 @@
-// Config-driven experiment runner: read a JSON experiment spec, run it
-// through the full testbed, print the measurement summary, and optionally
-// export the workload as SWF/CSV.
+// Spec-driven experiment runner: read a scenario DSL spec (the format of
+// scenarios/*.json, see src/scenario/spec.hpp), run its first variant's
+// first replication through the full testbed, print the measurement
+// summary, and optionally export the workload as SWF/CSV.
 //
-// Usage:
+// Usage (example specs in examples/specs/):
 //   ./build/examples/run_experiment <spec.json> [trace-out.{swf,csv}]
 //
-// Example spec (see src/testbed/config.hpp for all keys):
-//   {
-//     "scenario": "bursty",
-//     "jobs": 6000,
-//     "timings": {"service_update_interval": 60},
-//     "fairshare": {"projection": {"kind": "dictionary"}},
-//     "sites": {"5": {"rm": "maui"}}
-//   }
+// The run is task 0 of the spec's sweep, so its experiment seed is
+// sweep_task_seed(sweep.root_seed, 0), as in scenario_run and the benches.
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
-#include "testbed/config.hpp"
+#include "scenario/catalog.hpp"
+#include "scenario/compile.hpp"
 #include "util/strings.hpp"
 #include "workload/trace_io.hpp"
 
@@ -29,21 +23,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  json::Value spec;
   try {
-    std::ifstream in(argv[1]);
-    if (!in) throw std::runtime_error(std::string("cannot open ") + argv[1]);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    spec = json::parse(buffer.str());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error reading spec: %s\n", e.what());
-    return 1;
-  }
-
-  try {
-    const auto scenario = json::decode<workload::Scenario>(spec);
-    const auto config = json::decode<testbed::ExperimentConfig>(spec);
+    scenario::CompiledScenario compiled = scenario::compile(scenario::load_spec_file(argv[1]));
+    testbed::SweepSpec& sweep = compiled.sweep;
+    sweep.variants.resize(1);
+    sweep.replications = 1;
+    sweep.threads = 1;
+    sweep.keep_results = true;
+    sweep.fingerprinter = nullptr;
+    const workload::Scenario& scenario = sweep.variants.front().scenario;
 
     std::printf("scenario '%s': %zu jobs, %d clusters x %d hosts, %.1f h window\n",
                 scenario.name.c_str(), scenario.trace.size(), scenario.cluster_count,
@@ -54,8 +42,8 @@ int main(int argc, char** argv) {
       std::printf("workload exported to %s\n", argv[2]);
     }
 
-    testbed::Experiment experiment(scenario, config);
-    const testbed::ExperimentResult result = experiment.run();
+    const testbed::SweepResult run = testbed::run_sweep(sweep);
+    const testbed::ExperimentResult& result = run.tasks.front().result;
 
     std::printf("\n%s\n",
                 result.priorities

@@ -19,9 +19,8 @@
 #include <string>
 
 #include "core/decay.hpp"
-#include "testbed/sweep.hpp"
+#include "scenario/compile.hpp"
 #include "util/strings.hpp"
-#include "workload/scenarios.hpp"
 
 namespace {
 
@@ -70,12 +69,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  workload::Scenario scenario = workload::baseline_scenario(2012, jobs);
-  scenario.cluster_count = 3;
-  scenario.hosts_per_cluster = 10;
-  const double target = scenario.target_load * scenario.capacity_core_seconds();
-  const double current = scenario.trace.total_usage();
-  for (auto& record : scenario.trace.records()) record.duration *= target / current;
+  // The baseline workload on a 3 x 10 testbed: the scenario DSL rescales
+  // durations so the trace keeps its load on the smaller capacity.
+  const scenario::CompiledScenario base = scenario::compile(scenario::parse_spec_text(util::format(
+      R"({"name": "grid", "workload": {"jobs": %zu, "clusters": 3, "hosts_per_cluster": 10}})",
+      jobs)));
+  const workload::Scenario& scenario = base.sweep.variants.front().scenario;
 
   // The grid: three half-lives of exponential usage decay.
   std::vector<std::pair<std::string, testbed::ExperimentConfig>> configs;

@@ -117,13 +117,3 @@ template <>
 struct aequus::json::Decoder<aequus::core::FairshareConfig> {
   [[nodiscard]] static aequus::core::FairshareConfig decode(const Value& value);
 };
-
-namespace aequus::core {
-
-/// Deprecated spelling of json::decode<FairshareConfig>().
-[[deprecated("use json::decode<core::FairshareConfig>()")]] [[nodiscard]] inline FairshareConfig
-fairshare_config_from_json(const json::Value& value) {
-  return json::decode<FairshareConfig>(value);
-}
-
-}  // namespace aequus::core

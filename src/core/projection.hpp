@@ -66,13 +66,3 @@ template <>
 struct aequus::json::Decoder<aequus::core::ProjectionConfig> {
   [[nodiscard]] static aequus::core::ProjectionConfig decode(const Value& value);
 };
-
-namespace aequus::core {
-
-/// Deprecated spelling of json::decode<ProjectionConfig>().
-[[deprecated("use json::decode<core::ProjectionConfig>()")]] [[nodiscard]] inline ProjectionConfig
-projection_config_from_json(const json::Value& value) {
-  return json::decode<ProjectionConfig>(value);
-}
-
-}  // namespace aequus::core

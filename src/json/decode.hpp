@@ -13,8 +13,6 @@
 //   struct aequus::json::Decoder<MyConfig> {
 //     static MyConfig decode(const Value& value);
 //   };
-//
-// The legacy `*_from_json` names remain as deprecated inline forwarders.
 #pragma once
 
 #include "json/json.hpp"

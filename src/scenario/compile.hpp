@@ -6,9 +6,9 @@
 // capacity rescale), expands variants (per-variant time scale + deep-
 // merged experiment overlay), lowers run-fraction times into seconds
 // (FaultPlan outages, offload windows), and attaches determinism
-// fingerprints. A spec with no modifiers lowers to byte-for-byte the
-// same scenario + config a hand-coded bench builds — that identity is
-// what the fig10-13 golden tests pin.
+// fingerprints. A spec with no modifiers lowers to the plain generator
+// scenario under the decoded config; the fig10-13 golden tests pin those
+// runs to hashes captured from the hand-coded benches the specs replaced.
 #pragma once
 
 #include <cstdint>

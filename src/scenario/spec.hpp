@@ -1,8 +1,8 @@
 // Declarative scenario DSL: JSON specs for whole testbed experiments.
 //
 // A scenario spec is data, not C++: it names a base workload (the paper's
-// generators), then composes the situational modifiers the hand-coded
-// benches could never cover exhaustively — bursty phase schedules
+// generators), then composes the situational modifiers one-off bench
+// programs could never cover exhaustively — bursty phase schedules
 // (serving-style arrival spikes), user-mix churn (users joining/leaving
 // mid-run), site outage windows and link faults (lowered to a
 // net::FaultPlan), and federated cross-site offloading. The compiler in

@@ -30,13 +30,3 @@ template <>
 struct aequus::json::Decoder<aequus::services::InstallationConfig> {
   [[nodiscard]] static aequus::services::InstallationConfig decode(const Value& value);
 };
-
-namespace aequus::services {
-
-/// Deprecated spelling of json::decode<InstallationConfig>().
-[[deprecated("use json::decode<services::InstallationConfig>()")]] [[nodiscard]] inline InstallationConfig
-installation_config_from_json(const json::Value& value) {
-  return json::decode<InstallationConfig>(value);
-}
-
-}  // namespace aequus::services

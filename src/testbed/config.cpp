@@ -5,18 +5,6 @@
 #include "core/backend.hpp"
 #include "core/projection.hpp"
 
-aequus::workload::Scenario aequus::json::Decoder<aequus::workload::Scenario>::decode(
-    const Value& spec) {
-  namespace workload = aequus::workload;
-  const std::string name = spec.get_string("scenario", "baseline");
-  const auto jobs = static_cast<std::size_t>(spec.get_number("jobs", 43200));
-  const auto seed = static_cast<std::uint64_t>(spec.get_number("seed", 2012));
-  if (name == "baseline") return workload::baseline_scenario(seed, jobs);
-  if (name == "nonoptimal-policy") return workload::nonoptimal_policy_scenario(seed, jobs);
-  if (name == "bursty") return workload::bursty_scenario(seed, jobs);
-  throw std::invalid_argument("unknown scenario: " + name);
-}
-
 aequus::testbed::ExperimentConfig aequus::json::Decoder<aequus::testbed::ExperimentConfig>::decode(
     const Value& spec) {
   namespace core = aequus::core;

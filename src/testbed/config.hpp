@@ -1,12 +1,10 @@
-// JSON configuration for testbed experiments.
+// JSON decoding of ExperimentConfig, the testbed knobs of one run.
 //
-// An experiment spec bundles the workload scenario selection with the
-// ExperimentConfig knobs, enabling config-file-driven runs (see
-// examples/run_experiment):
+// The scenario DSL (src/scenario/spec.hpp) is the experiment-spec
+// format; its "experiment" object (deep-merged with any per-variant
+// overlay) is decoded here. Every key is optional:
 //
 //   {
-//     "scenario": "baseline" | "nonoptimal-policy" | "bursty",
-//     "jobs": 43200, "seed": 2012,
 //     "dispatch": "stochastic" | "round-robin",
 //     "timings": {"service_update_interval": 30, "client_cache_ttl": 30,
 //                 "reprioritize_interval": 30, "uss_bin_width": 600},
@@ -20,15 +18,6 @@
 #include "json/decode.hpp"
 #include "json/json.hpp"
 #include "testbed/experiment.hpp"
-#include "workload/scenarios.hpp"
-
-/// json::decode<workload::Scenario> support: builds the scenario named by
-/// the spec ("baseline", "nonoptimal-policy", or "bursty"), honoring
-/// "jobs" and "seed". Throws on unknown names.
-template <>
-struct aequus::json::Decoder<aequus::workload::Scenario> {
-  [[nodiscard]] static aequus::workload::Scenario decode(const Value& spec);
-};
 
 /// json::decode<testbed::ExperimentConfig> support: builds the experiment
 /// configuration from the spec (all keys optional).
@@ -36,19 +25,3 @@ template <>
 struct aequus::json::Decoder<aequus::testbed::ExperimentConfig> {
   [[nodiscard]] static aequus::testbed::ExperimentConfig decode(const Value& spec);
 };
-
-namespace aequus::testbed {
-
-/// Deprecated spelling of json::decode<workload::Scenario>().
-[[deprecated("use json::decode<workload::Scenario>()")]] [[nodiscard]] inline workload::Scenario
-scenario_from_json(const json::Value& spec) {
-  return json::decode<workload::Scenario>(spec);
-}
-
-/// Deprecated spelling of json::decode<ExperimentConfig>().
-[[deprecated("use json::decode<testbed::ExperimentConfig>()")]] [[nodiscard]] inline ExperimentConfig
-experiment_config_from_json(const json::Value& spec) {
-  return json::decode<ExperimentConfig>(spec);
-}
-
-}  // namespace aequus::testbed

@@ -1,8 +1,11 @@
 #include "workload/trace_io.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <istream>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -25,6 +28,18 @@ std::map<std::string, int> number_users(const Trace& trace) {
     id = next++;
   }
   return ids;
+}
+
+/// `text` (surrounding blanks trimmed) as a whole T; empty, unparsable,
+/// out-of-range or trailing-garbage text yields nothing. Locale-free.
+template <typename T>
+std::optional<T> parse_field(std::string_view text) {
+  text = util::trim(text);
+  const char* end = text.data() + text.size();
+  T value{};
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || stop != end) return std::nullopt;
+  return value;
 }
 
 }  // namespace
@@ -85,6 +100,11 @@ Trace read_swf(std::istream& in) {
       throw std::runtime_error(
           util::format("read_swf: malformed record at line %zu", line_number));
     }
+    // SWF writes -1 for an unknown field; a job needs a real submit time.
+    if (!std::isfinite(submit) || submit < 0.0) {
+      throw std::runtime_error(
+          util::format("read_swf: unknown or negative submit time at line %zu", line_number));
+    }
     // Optional trailing fields: group, app, queue, partition, ...
     long group = 0;
     long app = 0;
@@ -131,34 +151,30 @@ Trace read_csv(std::istream& in) {
       throw std::runtime_error(
           util::format("read_csv: expected 5 fields at line %zu", line_number));
     }
-    TraceRecord record;
-    record.user = fields[0];
-    record.submit = std::strtod(fields[1].c_str(), nullptr);
-    record.duration = std::strtod(fields[2].c_str(), nullptr);
-    record.cores = std::atoi(fields[3].c_str());
-    record.admin = std::atoi(fields[4].c_str()) != 0;
-    if (record.user.empty() || record.cores <= 0) {
-      throw std::runtime_error(
-          util::format("read_csv: invalid record at line %zu", line_number));
-    }
-    trace.add(std::move(record));
+    const auto invalid = [&](const char* field) {
+      return std::runtime_error(
+          util::format("read_csv: invalid %s at line %zu", field, line_number));
+    };
+    const auto submit = parse_field<double>(fields[1]);
+    const auto duration = parse_field<double>(fields[2]);
+    const auto cores = parse_field<int>(fields[3]);
+    const auto admin = parse_field<int>(fields[4]);
+    if (fields[0].empty()) throw invalid("user");
+    if (!submit || !std::isfinite(*submit) || *submit < 0.0) throw invalid("submit");
+    if (!duration || !std::isfinite(*duration) || *duration < 0.0) throw invalid("duration");
+    if (!cores || *cores <= 0) throw invalid("cores");
+    if (!admin) throw invalid("admin");
+    trace.add({fields[0], *submit, *duration, *cores, *admin != 0});
   }
   return trace;
 }
 
-namespace {
-bool ends_with(const std::string& value, const std::string& suffix) {
-  return value.size() >= suffix.size() &&
-         value.compare(value.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-}  // namespace
-
 void save_trace(const std::string& path, const Trace& trace) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("save_trace: cannot open " + path);
-  if (ends_with(path, ".swf")) {
+  if (util::ends_with(path, ".swf")) {
     write_swf(out, trace);
-  } else if (ends_with(path, ".csv")) {
+  } else if (util::ends_with(path, ".csv")) {
     write_csv(out, trace);
   } else {
     throw std::runtime_error("save_trace: unknown extension on " + path);
@@ -168,8 +184,8 @@ void save_trace(const std::string& path, const Trace& trace) {
 Trace load_trace(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("load_trace: cannot open " + path);
-  if (ends_with(path, ".swf")) return read_swf(in);
-  if (ends_with(path, ".csv")) return read_csv(in);
+  if (util::ends_with(path, ".swf")) return read_swf(in);
+  if (util::ends_with(path, ".csv")) return read_csv(in);
   throw std::runtime_error("load_trace: unknown extension on " + path);
 }
 

@@ -27,13 +27,17 @@ namespace aequus::workload {
 void write_swf(std::ostream& out, const Trace& trace);
 
 /// Parse SWF. Unknown/missing optional fields are tolerated; malformed
-/// *data* lines throw std::runtime_error with the line number.
+/// *data* lines, and a submit time that is negative (SWF's -1 "unknown"),
+/// throw std::runtime_error with the line number.
 [[nodiscard]] Trace read_swf(std::istream& in);
 
 /// Write the loss-free CSV form with a header row.
 void write_csv(std::ostream& out, const Trace& trace);
 
-/// Parse the CSV form (header row required).
+/// Parse the CSV form (header row required). Every field must parse whole:
+/// an empty user, unparsable or trailing-garbage numbers, non-finite or
+/// negative times and durations, and cores < 1 throw std::runtime_error
+/// naming the field and line number.
 [[nodiscard]] Trace read_csv(std::istream& in);
 
 /// Convenience file wrappers; throw std::runtime_error on I/O failure.

@@ -77,21 +77,6 @@ TEST(InstallationConfigJson, RoundTripsThroughToJson) {
   EXPECT_DOUBLE_EQ(restored.fcs.algorithm.distance_weight_k, 0.9);
 }
 
-TEST(ExperimentConfigJson, ScenarioSelection) {
-  const auto baseline =
-      json::decode<workload::Scenario>(json::parse(R"({"scenario":"baseline","jobs":100})"));
-  EXPECT_EQ(baseline.name, "baseline");
-  EXPECT_EQ(baseline.trace.size(), 100u);
-  const auto bursty =
-      json::decode<workload::Scenario>(json::parse(R"({"scenario":"bursty","jobs":100})"));
-  EXPECT_EQ(bursty.name, "bursty");
-  const auto skewed = json::decode<workload::Scenario>(
-      json::parse(R"({"scenario":"nonoptimal-policy","jobs":100})"));
-  EXPECT_DOUBLE_EQ(skewed.policy_shares.at("U65"), 0.70);
-  EXPECT_THROW(json::decode<workload::Scenario>(json::parse(R"({"scenario":"x"})")),
-               std::invalid_argument);
-}
-
 TEST(ExperimentConfigJson, FullSpecParses) {
   const auto spec = json::parse(R"({
     "dispatch": "round-robin",
@@ -133,21 +118,6 @@ TEST(ExperimentConfigJson, RejectsUnknownEnums) {
   EXPECT_THROW(json::decode<testbed::ExperimentConfig>(
                    json::parse(R"({"sites":{"0":{"rm":"pbs"}}})")),
                std::invalid_argument);
-}
-
-TEST(ConfigJsonCompat, DeprecatedForwardersStillDecode) {
-  // The legacy names must keep working (and agreeing with json::decode)
-  // until downstreams finish migrating.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const core::FairshareConfig via_legacy =
-      core::fairshare_config_from_json(json::parse(R"({"k":0.7})"));
-  const services::InstallationConfig installation =
-      services::installation_config_from_json(json::parse("{}"));
-#pragma GCC diagnostic pop
-  EXPECT_DOUBLE_EQ(via_legacy.distance_weight_k, 0.7);
-  EXPECT_DOUBLE_EQ(installation.uss.bin_width,
-                   services::InstallationConfig{}.uss.bin_width);
 }
 
 TEST(FcsRuntimeReconfiguration, ProjectionSwitchTakesEffectImmediately) {

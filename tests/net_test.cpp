@@ -641,7 +641,9 @@ TEST_F(ServiceBusTest, DuplicatedQueryAndReplyLegsRunEveryContinuation) {
   int from_first = 0;
   for (std::size_t i = 0; i < replies.size(); ++i) {
     if (replies[i].second == 1) ++from_first;
-    if (i > 0) EXPECT_LE(replies[i - 1].first, replies[i].first);
+    if (i > 0) {
+      EXPECT_LE(replies[i - 1].first, replies[i].first);
+    }
   }
   EXPECT_EQ(from_first, 2);
   EXPECT_EQ(bus.stats().duplicated, 3u);  // one query leg, two reply legs

@@ -12,6 +12,7 @@
 
 #include "scenario/compile.hpp"
 #include "scenario/spec.hpp"
+#include "util/strings.hpp"
 #include "workload/scenarios.hpp"
 
 namespace aequus::scenario {
@@ -115,7 +116,8 @@ TEST(ScenarioSpecDecode, UnknownWorkloadKeyRejected) {
 }
 
 TEST(ScenarioSpecDecode, UnknownWorkloadBaseRejected) {
-  expect_error(R"({"name": "x", "workload": {"base": "trace-replay"}})", "$.workload.base");
+  expect_error(R"({"name": "x", "workload": {"base": "trace-replay"}})",
+               "$.workload.base: unknown base workload");
 }
 
 TEST(ScenarioSpecDecode, WrongTypeNamesPathAndTypes) {
@@ -351,6 +353,34 @@ TEST(ApplyChurn, MultipleWindowsUnion) {
     EXPECT_TRUE(record.submit < 300.0 || record.submit >= 700.0)
         << "U65 job at " << record.submit << " inside the absence gap";
   }
+}
+
+// --- base workloads -------------------------------------------------------
+
+/// The single variant's scenario of a one-line spec over `base`.
+workload::Scenario compile_base(const std::string& base, std::size_t jobs) {
+  const CompiledScenario compiled = compile(parse_spec_text(util::format(
+      R"({"name": "x", "workload": {"base": "%s", "jobs": %zu}})", base.c_str(), jobs)));
+  return compiled.sweep.variants.at(0).scenario;
+}
+
+TEST(CompileBase, EveryBaseResolvesWithItsJobCountAndPolicy) {
+  const workload::Scenario baseline = compile_base("baseline", 100);
+  const workload::Scenario skewed = compile_base("nonoptimal-policy", 120);
+  const workload::Scenario bursty = compile_base("bursty", 100);
+  EXPECT_EQ(baseline.trace.size(), 100u);
+  EXPECT_EQ(skewed.trace.size(), 120u);
+  // The generator rounds each user's share of the job count on its own
+  // (45.5 % of 100 jobs is 46, twice in the bursty mix, where U3 rises
+  // to 45.5 % of the jobs).
+  EXPECT_NEAR(static_cast<double>(bursty.trace.size()), 100.0, 5.0);
+  EXPECT_GT(bursty.trace.user_stats().at("U3").job_fraction,
+            baseline.trace.user_stats().at("U3").job_fraction + 0.2);
+  // The non-optimal base skews the policy to 70/20/8/2.
+  EXPECT_DOUBLE_EQ(skewed.policy_shares.at("U65"), 0.70);
+  EXPECT_DOUBLE_EQ(skewed.policy_shares.at("U30"), 0.20);
+  EXPECT_DOUBLE_EQ(skewed.policy_shares.at("U3"), 0.08);
+  EXPECT_DOUBLE_EQ(skewed.policy_shares.at("Uoth"), 0.02);
 }
 
 // --- compile-time validation --------------------------------------------

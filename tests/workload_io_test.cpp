@@ -20,6 +20,18 @@ Trace sample_trace() {
   return trace;
 }
 
+/// `read` over `text` must throw a runtime_error whose message holds `needle`.
+void expect_rejects(Trace (*read)(std::istream&), const std::string& text,
+                    const std::string& needle) {
+  std::stringstream stream(text);
+  try {
+    (void)read(stream);
+    ADD_FAILURE() << "expected a rejection of: " << text;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << text << e.what();
+  }
+}
+
 TEST(SwfIo, RoundTripPreservesRecords) {
   const Trace original = sample_trace();
   std::stringstream stream;
@@ -64,13 +76,14 @@ TEST(SwfIo, ReadsForeignSwfWithoutNameHeader) {
 }
 
 TEST(SwfIo, MalformedLineThrowsWithLineNumber) {
-  std::stringstream stream("1 2 3\n");
-  try {
-    (void)read_swf(stream);
-    FAIL() << "expected throw";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos);
-  }
+  expect_rejects(read_swf, "1 2 3\n", "line 1");
+}
+
+TEST(SwfIo, RejectsUnknownSubmitTimeWithLineNumber) {
+  expect_rejects(read_swf,
+                 "1 0 5 100 4 -1 -1 4 120 -1 1 42 -1 -1 -1 1 -1 -1\n"
+                 "2 -1 0 50 1 -1 -1 1 60 -1 1 43 -1 -1 -1 1 -1 -1\n",
+                 "submit time at line 2");
 }
 
 TEST(CsvIo, RoundTripIsLossFree) {
@@ -100,9 +113,35 @@ TEST(CsvIo, RejectsBadFieldCount) {
   EXPECT_THROW((void)read_csv(stream), std::runtime_error);
 }
 
-TEST(CsvIo, RejectsInvalidCores) {
-  std::stringstream stream("user,submit,duration,cores,admin\nalice,0,1,0,0\n");
-  EXPECT_THROW((void)read_csv(stream), std::runtime_error);
+TEST(CsvIo, RejectsInvalidFieldsNamingFieldAndLine) {
+  // A header plus `row` (line 2) must be rejected naming `field`.
+  const auto expect_csv_rejects = [](const std::string& row, const std::string& field) {
+    expect_rejects(read_csv, "user,submit,duration,cores,admin\n" + row + "\n",
+                   "invalid " + field + " at line 2");
+  };
+  expect_csv_rejects("alice,0,1,0,0", "cores");
+  expect_csv_rejects("alice,abc,1,1,0", "submit");
+  expect_csv_rejects("alice,,1,1,0", "submit");
+  expect_csv_rejects("alice,0,12s,1,0", "duration");
+  expect_csv_rejects("alice,0,1,3x,0", "cores");
+  expect_csv_rejects("alice,0,1,1.5,0", "cores");
+  expect_csv_rejects("alice,0,1,1,yes", "admin");
+  expect_csv_rejects(",0,1,1,0", "user");
+  expect_csv_rejects("alice,nan,1,1,0", "submit");
+  expect_csv_rejects("alice,inf,1,1,0", "submit");
+  expect_csv_rejects("alice,1e999,1,1,0", "submit");
+  expect_csv_rejects("alice,-1,1,1,0", "submit");
+  expect_csv_rejects("alice,0,nan,1,0", "duration");
+  expect_csv_rejects("alice,0,-inf,1,0", "duration");
+  expect_csv_rejects("alice,0,-5,1,0", "duration");
+}
+
+TEST(CsvIo, AcceptsBlankPaddedFields) {
+  std::stringstream stream("user,submit,duration,cores,admin\nalice, 10.5 ,0,2 , 1\n");
+  const TraceRecord record = read_csv(stream).records().at(0);
+  EXPECT_EQ(record.submit, 10.5);
+  EXPECT_EQ(record.cores, 2);
+  EXPECT_TRUE(record.admin);
 }
 
 TEST(TraceFiles, SaveAndLoadByExtension) {
